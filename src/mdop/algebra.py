@@ -9,7 +9,10 @@ multiple of the central generator C.  Two bases are supported:
     = t^j (d/dt)^j, in which the defining 2-cocycle of the central
     extension has a closed form.
 
-All operations are pure and exact.
+All operations are pure and exact.  Coefficients are Fractions on the
+elements; each operation clears their denominators once (_to_ints), runs
+its inner loops on integers, and builds one Fraction per nonzero output
+coefficient (_from_ints).
 """
 
 from __future__ import annotations
@@ -28,6 +31,17 @@ from .exact import (
 )
 
 _ZERO = Fraction(0)
+
+
+def _to_ints(terms: Mapping) -> tuple[dict, int]:
+    """Integer numerators of the coefficients over their one lcm denominator."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _from_ints(nums: Mapping, den: int) -> dict:
+    """The Fractions nums[m] / den, zero coefficients dropped."""
+    return {m: Fraction(n, den) for m, n in nums.items() if n}
 
 
 class Monomial(NamedTuple):
@@ -74,10 +88,10 @@ class _OperatorSum:
 
     @classmethod
     def _raw(cls, rank: int, terms: dict[Monomial, Fraction], central: Fraction):
-        # Internal fast path: inputs already validated and exact.
+        # Internal fast path: inputs already validated, nonzero and exact.
         el = object.__new__(cls)
         el.rank = rank
-        el.terms = {m: c for m, c in terms.items() if c}
+        el.terms = terms
         el.central = central if isinstance(central, Fraction) else Fraction(central)
         return el
 
@@ -109,38 +123,40 @@ class _OperatorSum:
         )
 
     def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        # self + sign * other
         if type(other) is not type(self):
             return NotImplemented
         if other.rank != self.rank:
             raise DimensionError("operand ranks differ")
-        merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = merged.get(mono, _ZERO) + c
-            if acc:
-                merged[mono] = acc
-            elif mono in merged:
-                del merged[mono]
-        return type(self)._raw(self.rank, merged, self.central + other.central)
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
+        na, da = _to_ints(self.terms)
+        nb, db = _to_ints(other.terms)
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * da // g
+        out = {m: c * fa for m, c in na.items()}
+        for m, c in nb.items():
+            out[m] = out.get(m, 0) + c * fb
+        return type(self)._raw(
+            self.rank, _from_ints(out, da * fa), self.central + sign * other.central
+        )
 
     def __neg__(self):
-        return type(self)._raw(
-            self.rank, {m: -c for m, c in self.terms.items()}, -self.central
-        )
+        return self * -1
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         factor = Fraction(scalar)
-        if not factor:
-            return type(self).zero(self.rank)
+        nums, den = _to_ints(self.terms)
+        top = factor.numerator
         return type(self)._raw(
             self.rank,
-            {m: c * factor for m, c in self.terms.items()},
+            _from_ints({m: c * top for m, c in nums.items()}, den * factor.denominator),
             self.central * factor,
         )
 
@@ -169,14 +185,28 @@ def _check_pair(a, b, cls) -> None:
 
 
 @lru_cache(maxsize=None)
-def _product_expansion(j: int, k: int) -> tuple[tuple[int, Fraction], ...]:
+def _product_expansion(j: int, k: int) -> tuple[tuple[int, int], ...]:
     # (D + k)^j = sum_s binom(j, s) k^s D^(j - s); zero summands dropped.
     out = []
     for s in range(j + 1):
-        c = gen_binomial(j, s) * k**s
+        c = math.comb(j, s) * k**s
         if c:
             out.append((j - s, c))
     return tuple(out)
+
+
+def _add_products(out: dict, na: dict, nb: dict, sign: int) -> None:
+    # out += sign * (a b) on integer numerators, a and b given by na and nb.
+    expansion = _product_expansion
+    for ma, ca in na.items():
+        for mb, cb in nb.items():
+            if ma.q != mb.p:
+                continue
+            c = sign * ca * cb
+            i = ma.i + mb.i
+            for jexp, w in expansion(ma.j, mb.i):
+                key = Monomial(i, jexp + mb.j, ma.p, mb.q)
+                out[key] = out.get(key, 0) + c * w
 
 
 def canonical_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -187,63 +217,50 @@ def canonical_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     ignored; the result has zero central part.
     """
     _check_pair(a, b, AlgebraElement)
-    out: dict[Monomial, Fraction] = {}
-    expansion = _product_expansion
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if ma.q != mb.p:
-                continue
-            c = ca * cb
-            i = ma.i + mb.i
-            for jexp, w in expansion(ma.j, mb.i):
-                key = Monomial(i, jexp + mb.j, ma.p, mb.q)
-                acc = out.get(key, _ZERO) + c * w
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return AlgebraElement._raw(a.rank, out, _ZERO)
+    na, da = _to_ints(a.terms)
+    nb, db = _to_ints(b.terms)
+    out: dict[Monomial, int] = {}
+    _add_products(out, na, nb, 1)
+    return AlgebraElement._raw(a.rank, _from_ints(out, da * db), _ZERO)
 
 
 def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Commutator ab - ba of the composition product (no central term)."""
-    return canonical_product(a, b) - canonical_product(b, a)
+    _check_pair(a, b, AlgebraElement)
+    na, da = _to_ints(a.terms)
+    nb, db = _to_ints(b.terms)
+    out: dict[Monomial, int] = {}
+    _add_products(out, na, nb, 1)
+    _add_products(out, nb, na, -1)
+    return AlgebraElement._raw(a.rank, _from_ints(out, da * db), _ZERO)
+
+
+def _change_basis(terms: Mapping, table) -> tuple[dict, int]:
+    # Integer numerators of sum c t^i X_j E[p,q] with X_j = sum_s table(j)[s] Y_s.
+    nums, den = _to_ints(terms)
+    out: dict[Monomial, int] = {}
+    for mono, c in nums.items():
+        for s, w in enumerate(table(mono.j)):
+            if w:
+                key = Monomial(mono.i, s, mono.p, mono.q)
+                out[key] = out.get(key, 0) + c * w
+    return out, den
 
 
 def to_falling(a: AlgebraElement) -> FallingElement:
     """Rewrite D^j in terms of [D]_s; the central part passes through."""
     if not isinstance(a, AlgebraElement):
         raise TypeError("expected an AlgebraElement")
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in a.terms.items():
-        for s, w in enumerate(power_to_falling_coeffs(mono.j)):
-            if not w:
-                continue
-            key = Monomial(mono.i, s, mono.p, mono.q)
-            acc = out.get(key, _ZERO) + c * w
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return FallingElement._raw(a.rank, out, a.central)
+    out, den = _change_basis(a.terms, power_to_falling_coeffs)
+    return FallingElement._raw(a.rank, _from_ints(out, den), a.central)
 
 
 def from_falling(f: FallingElement) -> AlgebraElement:
     """Rewrite [D]_j in terms of D^s; inverse of to_falling."""
     if not isinstance(f, FallingElement):
         raise TypeError("expected a FallingElement")
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in f.terms.items():
-        for s, w in enumerate(falling_to_power_coeffs(mono.j)):
-            if not w:
-                continue
-            key = Monomial(mono.i, s, mono.p, mono.q)
-            acc = out.get(key, _ZERO) + c * w
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return AlgebraElement._raw(f.rank, out, f.central)
+    out, den = _change_basis(f.terms, falling_to_power_coeffs)
+    return AlgebraElement._raw(f.rank, _from_ints(out, den), f.central)
 
 
 def _psi_parity(j: int) -> int:
@@ -251,7 +268,7 @@ def _psi_parity(j: int) -> int:
     return -1 if j % 2 else 1
 
 
-def _psi_falling_pair(ma: Monomial, mb: Monomial) -> Fraction:
+def _psi_falling_pair(ma: Monomial, mb: Monomial) -> int:
     """Cocycle value on a pair of falling-basis words.
 
     psi(t^i [D]_j E[p,q], t^k [D]_l E[p',q']) is nonzero only for i = -k,
@@ -259,7 +276,7 @@ def _psi_falling_pair(ma: Monomial, mb: Monomial) -> Fraction:
     (-1)^j j! l! binom(i+j, j+l+1).
     """
     if ma.i != -mb.i or ma.q != mb.p or ma.p != mb.q:
-        return _ZERO
+        return 0
     j, l = ma.j, mb.j
     return (
         _psi_parity(j)
@@ -277,15 +294,16 @@ def cocycle_psi(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     inputs contribute nothing.
     """
     _check_pair(a, b, AlgebraElement)
-    fa = to_falling(a)
-    fb = to_falling(b)
-    total = _ZERO
-    for ma, ca in fa.terms.items():
-        for mb, cb in fb.terms.items():
-            w = _psi_falling_pair(ma, mb)
-            if w:
-                total += ca * cb * w
-    return total
+    fa, da = _change_basis(a.terms, power_to_falling_coeffs)
+    fb, db = _change_basis(b.terms, power_to_falling_coeffs)
+    total = 0
+    for ma, ca in fa.items():
+        if ca:
+            for mb, cb in fb.items():
+                w = _psi_falling_pair(ma, mb)
+                if w:
+                    total += ca * cb * w
+    return Fraction(total, da * db)
 
 
 def central_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -307,34 +325,31 @@ def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingEleme
     to the power basis, applying central_bracket, and converting back.
     """
     _check_pair(a, b, FallingElement)
-    out: dict[Monomial, Fraction] = {}
-    central = _ZERO
-
-    def accumulate(key: Monomial, value: Fraction) -> None:
-        acc = out.get(key, _ZERO) + value
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    na, da = _to_ints(a.terms)
+    nb, db = _to_ints(b.terms)
+    out: dict[Monomial, int] = {}
+    central = 0
+    for ma, ca in na.items():
+        for mb, cb in nb.items():
             c = ca * cb
             i, j, k, l = ma.i, ma.j, mb.i, mb.j
             if ma.q == mb.p:
                 for s in range(j + 1):
-                    w = gen_binomial(j, s) * falling_factorial(k + l, s)
+                    w = math.comb(j, s) * falling_factorial(k + l, s)
                     if w:
-                        accumulate(Monomial(i + k, j + l - s, ma.p, mb.q), c * w)
+                        key = Monomial(i + k, j + l - s, ma.p, mb.q)
+                        out[key] = out.get(key, 0) + c * w
             if mb.q == ma.p:
                 for s in range(l + 1):
-                    w = gen_binomial(l, s) * falling_factorial(i + j, s)
+                    w = math.comb(l, s) * falling_factorial(i + j, s)
                     if w:
-                        accumulate(Monomial(i + k, j + l - s, mb.p, ma.q), -c * w)
+                        key = Monomial(i + k, j + l - s, mb.p, ma.q)
+                        out[key] = out.get(key, 0) - c * w
             psi = _psi_falling_pair(ma, mb)
             if psi:
                 central += c * psi
-    return FallingElement._raw(a.rank, out, central)
+    den = da * db
+    return FallingElement._raw(a.rank, _from_ints(out, den), Fraction(central, den))
 
 
 def homogeneous_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
@@ -366,17 +381,14 @@ def sigma(a: AlgebraElement) -> AlgebraElement:
         raise TypeError("expected an AlgebraElement")
     if a.central:
         raise ValueError("sigma is defined on central-free elements only")
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in a.terms.items():
+    nums, den = _to_ints(a.terms)
+    out: dict[Monomial, int] = {}
+    for mono, c in nums.items():
         scale = c * _sigma_sign(mono.j)
         for jexp, w in _product_expansion(mono.j, mono.i):
             key = Monomial(mono.i, jexp, mono.q, mono.p)
-            acc = out.get(key, _ZERO) + scale * w
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return AlgebraElement._raw(a.rank, out, _ZERO)
+            out[key] = out.get(key, 0) + scale * w
+    return AlgebraElement._raw(a.rank, _from_ints(out, den), _ZERO)
 
 
 def embed_scalar(i: int, j: int, rank: int) -> AlgebraElement:

@@ -1,17 +1,19 @@
 """Exact arithmetic primitives: rationals, univariate polynomials, and
 square matrices with polynomial entries.
 
-Every scalar is an arbitrary-precision rational (fractions.Fraction).
-Polynomials are dense in a single formal indeterminate, which stands in
-for the free module parameter; an identity verified with the formal
-parameter therefore holds for every specialization at once.
+Every scalar is an arbitrary-precision rational (fractions.Fraction) at
+the API.  Polynomials are dense in a single formal indeterminate, which
+stands in for the free module parameter; an identity verified with the
+formal parameter therefore holds for every specialization at once.
+Inside, a polynomial is integer numerators over one denominator, and the
+Stirling tables are integers, so inner loops run on int arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Union
 
 # The base scalar type.  Fraction already maintains the canonical form we
@@ -35,17 +37,18 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
-def gen_binomial(top: int, s: int) -> Fraction:
+def gen_binomial(top: int, s: int) -> int:
     """Generalized binomial coefficient top(top-1)...(top-s+1) / s!.
 
-    Defined for any integer top; by convention the value is 0 when s < 0.
+    Defined for any integer top, where it is always an integer; by
+    convention the value is 0 when s < 0.
     """
     if s < 0:
-        return Fraction(0)
+        return 0
     num = 1
     for u in range(s):
         num *= top - u
-    return Fraction(num, math.factorial(s))
+    return num // math.factorial(s)
 
 
 def falling_factorial(x, j: int):
@@ -61,128 +64,169 @@ def falling_factorial(x, j: int):
     return acc
 
 
-@lru_cache(maxsize=None)
-def falling_to_power_coeffs(j: int) -> tuple[Fraction, ...]:
-    """Coefficients c with [D]_j = sum_s c[s] D^s.
+class _Triangle:
+    """Cached table of rows 0, 1, 2, ... of an integer triangle.
+
+    Decorates the step that builds row n from row n-1; calling the table
+    with j returns row j.  A requested row is kept until cache_clear().  A
+    row not yet kept is built by iterating from the highest kept row below
+    it, so rows requested in ascending order cost one step each, and only
+    requested rows take memory.
+    """
+
+    def __init__(self, step):
+        functools.update_wrapper(self, step)
+        self._step = step
+        self._rows = {0: (1,)}
+
+    def __call__(self, j: int) -> tuple[int, ...]:
+        row = self._rows.get(j)
+        if row is None:
+            if j < 0:
+                raise ValueError("Stirling row index must be nonnegative")
+            # A snapshot of the keys: another thread may add a row meanwhile.
+            top = max(k for k in tuple(self._rows) if k < j)
+            row = self._rows[top]
+            for n in range(top + 1, j + 1):
+                row = self._step(row, n)
+            self._rows[j] = row
+        return row
+
+    def cache_clear(self) -> None:
+        self._rows = {0: (1,)}
+
+
+@_Triangle
+def falling_to_power_coeffs(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Coefficients c with [D]_j = sum_s c[s] D^s, as a table indexed by j.
 
     [D]_j = D(D-1)...(D-j+1); the coefficients are the signed Stirling
-    numbers of the first kind, built by the product recurrence.
+    numbers of the first kind, as integers, built by the product
+    recurrence [D]_n = [D]_(n-1) (D - n + 1).
     """
-    if j < 0:
-        raise ValueError("falling power index must be nonnegative")
-    if j == 0:
-        return (Fraction(1),)
-    prev = falling_to_power_coeffs(j - 1)
-    shift = j - 1
-    out = []
-    for s in range(j + 1):
-        c = prev[s - 1] if s >= 1 else Fraction(0)
-        if s < len(prev):
-            c = c - shift * prev[s]
-        out.append(c)
-    return tuple(out)
+    return (0, *[prev[s - 1] - (n - 1) * prev[s] for s in range(1, n)], 1)
 
 
-@lru_cache(maxsize=None)
-def power_to_falling_coeffs(j: int) -> tuple[Fraction, ...]:
-    """Coefficients c with D^j = sum_s c[s] [D]_s.
+@_Triangle
+def power_to_falling_coeffs(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Coefficients c with D^j = sum_s c[s] [D]_s, as a table indexed by j.
 
-    These are the Stirling numbers of the second kind; composing with
+    These are the Stirling numbers of the second kind, as integers, built
+    by S(n, s) = s S(n-1, s) + S(n-1, s-1); composing with
     falling_to_power_coeffs gives the identity.
     """
-    if j < 0:
-        raise ValueError("power index must be nonnegative")
-    if j == 0:
-        return (Fraction(1),)
-    prev = power_to_falling_coeffs(j - 1)
-    out = []
-    for s in range(j + 1):
-        c = s * prev[s] if s < len(prev) else Fraction(0)
-        if s >= 1:
-            c = c + prev[s - 1]
-        out.append(c)
-    return tuple(out)
+    return (0, *[s * prev[s] + prev[s - 1] for s in range(1, n)], 1)
+
+
+def _reduced(nums: list[int], den: int) -> "Poly":
+    # Normal form: no trailing zeros, gcd(den, *nums) = 1, den > 0; so the
+    # zero polynomial has den = 1.
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [c // g for c in nums]
+    poly = object.__new__(Poly)
+    poly.nums = tuple(nums)
+    poly.den = den
+    return poly
 
 
 class Poly:
     """Univariate polynomial over the rationals.
 
-    Coefficients are stored by ascending power with no trailing zeros, so
-    equal polynomials compare equal structurally.  Instances are immutable
-    by convention; all operations return new values.
+    Stored as integer numerators nums (ascending power) over one positive
+    denominator den, in normal form: no trailing zeros and gcd 1, so equal
+    polynomials compare equal structurally.  coeffs gives the same
+    coefficients as Fractions.  Instances are immutable by convention; all
+    operations return new values.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
+    def __new__(cls, coeffs: Iterable = ()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*[c.denominator for c in cs])
+        return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def const(value) -> Poly:
-        return Poly((_as_fraction(value),))
+        return Poly((value,))
 
     @staticmethod
     def var() -> Poly:
         """The formal indeterminate itself."""
-        return Poly((Fraction(0), Fraction(1)))
+        return Poly((0, 1))
 
     @staticmethod
     def _coerce(value) -> "Poly | None":
         if isinstance(value, Poly):
             return value
         if isinstance(value, (int, Fraction)):
-            return Poly.const(value)
+            return _reduced([value.numerator], value.denominator)
         return None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def constant_value(self) -> Fraction:
-        if len(self.coeffs) > 1:
+        if len(self.nums) > 1:
             raise ValueError("polynomial is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     def __call__(self, value) -> Fraction:
-        """Evaluate at an exact point (Horner)."""
+        """Evaluate at an exact point (Horner on numerators)."""
         point = _as_fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        top, bottom = point.numerator, point.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * top + c * scale
+            scale *= bottom
+        return Fraction(acc, self.den * scale // bottom) if self.nums else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        coerced = Poly._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self.coeffs == coerced.coeffs
+        if type(other) is not Poly:
+            other = Poly._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
+        if len(self.nums) <= 1:
+            return hash(self.constant_value())
+        return hash((self.nums, self.den))
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        poly = object.__new__(Poly)
+        poly.nums = tuple(-c for c in self.nums)
+        poly.den = self.den
+        return poly
 
     def __add__(self, other):
-        coerced = Poly._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        a, b = self.coeffs, coerced.coeffs
+        if type(other) is not Poly:
+            other = Poly._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.nums, other.nums
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        den = self.den * fa
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, fa, fb = b, a, fb, fa
+        out = [c * fa for c in a]
         for idx, c in enumerate(b):
-            out[idx] = out[idx] + c
-        return Poly(out)
+            out[idx] += c * fb
+        return _reduced(out, den)
 
     __radd__ = __add__
 
@@ -199,20 +243,20 @@ class Poly:
         return coerced + (-self)
 
     def __mul__(self, other):
-        coerced = Poly._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        a, b = self.coeffs, coerced.coeffs
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            top = other.numerator
+            return _reduced([c * top for c in self.nums], self.den * other.denominator)
+        a, b = self.nums, other.nums
         if not a or not b:
             return _POLY_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for k, cb in enumerate(b):
-                if cb:
+            if ca:
+                for k, cb in enumerate(b):
                     out[i + k] += ca * cb
-        return Poly(out)
+        return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -234,7 +278,7 @@ class Poly:
 
 
 _POLY_ZERO = Poly(())
-_POLY_ONE = Poly((Fraction(1),))
+_POLY_ONE = Poly((1,))
 
 
 class SquareMatrixPoly:
@@ -358,7 +402,7 @@ def jordan_shifted_power(base, m: int, j: int) -> SquareMatrixPoly:
     return _jordan_power_cached(poly, m, j)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _jordan_power_cached(base: Poly, m: int, j: int) -> SquareMatrixPoly:
     rows = []
     for r in range(m):

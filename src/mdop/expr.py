@@ -8,7 +8,7 @@ Grammar (whitespace-insensitive, '*' optional everywhere it appears):
     atom     := 't' ['^' int] | 'D' ['^' nat] | 'FD' ['^' nat]
               | 'E' '[' p ',' q ']' | 'C'
     vector   := ['-'] vterm (('+' | '-') vterm)*
-    vterm    := [poly] 'v' '[' k ',' r [',' s] ']'
+    vterm    := [poly] 'v' '[' k ',' r [',' s] ']' | zero-valued poly
     poly     := '(' polysum ')' | [rational] ['a' ['^' nat]]
     rational := int ['/' int]
 
@@ -16,7 +16,8 @@ A term without an E atom means the same word on every diagonal matrix
 slot (the scalar embedding).  FD is the falling power [D]_j and is
 rewritten into the power basis on entry.  C is the central generator and
 cannot be combined with other atoms.  The formal parameter is always
-spelled 'a'.
+spelled 'a'.  A vector term with a zero coefficient may omit its slot,
+so the zero vector, printed as 0, parses back.
 """
 
 from __future__ import annotations
@@ -327,10 +328,12 @@ def parse_module_vector(text: str, params: ModuleParams) -> ModuleVector:
     zero = Poly(())
     while True:
         coeff = _parse_poly_coefficient(ts)
-        if coeff is None:
-            coeff = _POLY_ONE
-        key = _parse_vector_slot(ts, params)
-        entries[key] = entries.get(key, zero) + sign * coeff
+        # A zero coefficient may stand without a slot: the zero vector prints as 0.
+        if coeff != 0 or ts.peek().kind == "NAME":
+            if coeff is None:
+                coeff = _POLY_ONE
+            key = _parse_vector_slot(ts, params)
+            entries[key] = entries.get(key, zero) + sign * coeff
         tok = ts.peek()
         if tok.kind == "OP" and tok.text in "+-":
             ts.advance()

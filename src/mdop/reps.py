@@ -118,12 +118,8 @@ class ModuleVector:
             raise DimensionError("module parameters differ")
         merged = dict(self.entries)
         for key, c in other.entries.items():
-            acc = merged.get(key, _POLY_ZERO) + c
-            if acc:
-                merged[key] = acc
-            elif key in merged:
-                del merged[key]
-        return ModuleVector._raw(self.params, merged)
+            merged[key] = merged[key] + c if key in merged else c
+        return ModuleVector._raw(self.params, {k: c for k, c in merged.items() if c})
 
     def __sub__(self, other: ModuleVector) -> ModuleVector:
         if not isinstance(other, ModuleVector):
@@ -190,17 +186,11 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
             rows = mat.rows
             for s2 in range(1, m + 1):
                 w = rows[s2 - 1][s - 1]
-                if not w:
-                    continue
-                key = (mono.i + k, target_r, s2)
-                acc = out.get(key)
-                piece = contrib * w
-                acc = piece if acc is None else acc + piece
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return ModuleVector._raw(params, out)
+                if w:
+                    key = (mono.i + k, target_r, s2)
+                    piece = contrib * w
+                    out[key] = out[key] + piece if key in out else piece
+    return ModuleVector._raw(params, {key: c for key, c in out.items() if c})
 
 
 def grade_index(params: ModuleParams, k: int, r: int) -> int:

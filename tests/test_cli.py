@@ -170,3 +170,70 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "t"
+
+
+def _stirling_first_row(j):
+    # Coefficients of x(x-1)...(x-j+1), multiplied out factor by factor.
+    poly = [1]
+    for u in range(j):
+        shifted = [0] + poly
+        for s, c in enumerate(poly):
+            shifted[s] -= u * c
+        poly = shifted
+    return poly
+
+
+def _stirling_second_row(j):
+    # S(j, s) from the triangle S(n, s) = s S(n-1, s) + S(n-1, s-1).
+    row = [1]
+    for n in range(1, j + 1):
+        row = [0] + [s * row[s] + row[s - 1] for s in range(1, n)] + [1]
+    return row
+
+
+def _falling_power(x, j):
+    out = 1
+    for u in range(j):
+        out *= x - u
+    return out
+
+
+class TestHighExponentConvert:
+    # Beyond D^493 the tables were once built by recursion and crashed.
+    J = 1200
+
+    def _coeffs(self, capsys, target, text):
+        code, out, err = run_cli(capsys, "convert", "--n", "1", "--to", target, "--format", "json", text)
+        assert (code, err) == (0, "")
+        terms = json.loads(out)["terms"]
+        assert all((t["i"], t["p"], t["q"]) == (0, 1, 1) for t in terms)
+        coeffs = [0] * (self.J + 1)
+        for t in terms:
+            coeffs[t["j"]] = int(t["coeff"])
+        return coeffs
+
+    def test_power_to_falling(self, capsys):
+        coeffs = self._coeffs(capsys, "falling", f"D^{self.J}")
+        assert coeffs == _stirling_second_row(self.J)
+        x = self.J + 7
+        assert sum(c * _falling_power(x, s) for s, c in enumerate(coeffs)) == x**self.J
+
+    def test_falling_to_power(self, capsys):
+        coeffs = self._coeffs(capsys, "power", f"FD^{self.J}")
+        assert coeffs == _stirling_first_row(self.J)
+        x = self.J + 7
+        assert sum(c * x**s for s, c in enumerate(coeffs)) == _falling_power(x, self.J)
+
+    def test_same_basis_is_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "convert", "--n", "1", "--to", "power", f"D^{self.J}")
+        assert (code, out.strip()) == (0, f"D^{self.J}")
+
+    def test_text_output(self, capsys):
+        code, out, _ = run_cli(capsys, "convert", "--n", "1", "--to", "falling", f"D^{self.J}")
+        assert code == 0
+        assert out.startswith("FD + ") and out.strip().endswith(f" + FD^{self.J}")
+
+
+def test_act_on_zero_vector(capsys):
+    code, out, err = run_cli(capsys, "act", "--n", "1", "--family", "V", "t", "0")
+    assert (code, out.strip(), err) == (0, "0", "")

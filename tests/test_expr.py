@@ -119,6 +119,19 @@ class TestParseVector:
         with pytest.raises(ParseError, match="Jordan slot"):
             parse_module_vector("v[0,1,2]", params)
 
+    def test_zero_vector_round_trip(self):
+        for family in (Family.V, Family.VBAR):
+            params = ModuleParams.formal(family, 2, 2)
+            zero = ModuleVector.zero(params)
+            assert format_module_vector(zero) == "0"
+            assert parse_module_vector("0", params) == zero
+            assert parse_module_vector("-0 + v[1,2,2] - v[1,2,2]", params) == zero
+            assert parse_module_vector("0 + a v[1,2]", params) == ModuleVector(
+                params, {(1, 2, 1): X}
+            )
+        with pytest.raises(ParseError, match="module-vector atom"):
+            parse_module_vector("2", params)
+
     def test_expression_dispatch(self):
         assert isinstance(parse_expression("t D", 2), AlgebraElement)
         assert isinstance(parse_expression("v[0,1]", 2), ModuleVector)

@@ -1,0 +1,61 @@
+"""Golden outputs: canonical CLI text and JSON must stay byte-identical.
+
+tests/golden/cli_corpus.json holds a fixed corpus of CLI calls, with the
+exit code, stdout and stderr each one produced when the corpus was
+captured: every subcommand in text and JSON, 10-30-term operands with
+2-digit rationals, --lambda specialisations, and refused input.
+tests/golden/verify_default.json holds the default `verify --format json`
+report with the timing fields removed.  Any change to these bytes is a
+change of the output format and must be deliberate; such a change is
+recorded by writing run(argv) of each case, and default_verify_report(),
+back into the files.
+"""
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from mdop.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = GOLDEN / "cli_corpus.json"
+VERIFY_DEFAULT = GOLDEN / "verify_default.json"
+
+
+def _strip_timing(argv: list[str], stdout: str) -> str:
+    if argv[0] != "verify" or not stdout:
+        return stdout
+    if "json" not in argv:
+        return re.sub(r"time=\d+\.\d+s", "time=*", stdout)
+    report = json.loads(stdout)
+    for row in report["checks"]:
+        del row["elapsed_s"]
+    return json.dumps(report) + "\n"
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout (timing removed) and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, _strip_timing(argv, out.getvalue()), err.getvalue()
+
+
+def default_verify_report() -> str:
+    return run(["verify", "--format", "json"])[1]
+
+
+_CASES = json.loads(CORPUS.read_text())
+
+
+@pytest.mark.parametrize("case", _CASES, ids=[f"{i:03d}-{c['argv'][0]}" for i, c in enumerate(_CASES)])
+def test_cli_corpus(case):
+    assert run(case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_default_verify_report():
+    assert default_verify_report() == VERIFY_DEFAULT.read_text()

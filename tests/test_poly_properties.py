@@ -1,0 +1,161 @@
+"""Property tests: Poly against a list-of-Fraction reference, and the
+coefficient types the kernel hands back at its boundary."""
+
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from mdop import algebra, reps
+from mdop.exact import Poly
+from mdop.reps import Family, ModuleParams
+from mdop.verify import sample_element, sample_falling_element, sample_module_vector
+
+# Derandomized, so that every run of the suite tries the same examples.
+examples = settings(deadline=None, derandomize=True, max_examples=150)
+
+rationals = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99))
+coeff_lists = st.lists(rationals, max_size=6)
+
+
+def strip(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return strip((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return strip(out)
+
+
+def assert_normal(p: Poly):
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert all(type(c) is int for c in p.nums)
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+@examples
+@given(coeff_lists)
+def test_construction_is_normal(a):
+    p = Poly(a)
+    assert_normal(p)
+    assert p.coeffs == strip(a)
+    assert p.degree == len(strip(a)) - 1
+
+
+@examples
+@given(coeff_lists, coeff_lists)
+def test_add_sub_mul(a, b):
+    pa, pb = Poly(a), Poly(b)
+    neg_b = [-c for c in b]
+    for got, want in (
+        (pa + pb, ref_add(a, b)),
+        (pa - pb, ref_add(a, neg_b)),
+        (pa * pb, ref_mul(a, b)),
+        (-pa, strip(-c for c in a)),
+    ):
+        assert_normal(got)
+        assert got.coeffs == want
+
+
+@examples
+@given(coeff_lists, coeff_lists)
+def test_sums_that_cancel(a, tail):
+    # a + (tail - a) leaves tail; a - a leaves the zero polynomial.
+    pa = Poly(a)
+    zero = pa - Poly(a)
+    assert_normal(zero)
+    assert (zero.nums, zero.den) == ((), 1)
+    assert zero == 0 and not zero
+    rest = pa + (Poly(tail) - pa)
+    assert_normal(rest)
+    assert rest.coeffs == strip(tail)
+
+
+@examples
+@given(st.lists(rationals, max_size=3), st.integers(0, 5))
+def test_pow(a, n):
+    want = (Fraction(1),)
+    for _ in range(n):
+        want = ref_mul(want, a)
+    got = Poly(a) ** n
+    assert_normal(got)
+    assert got.coeffs == want
+
+
+@examples
+@given(coeff_lists, rationals)
+def test_evaluation(a, x):
+    value = Poly(a)(x)
+    assert type(value) is Fraction
+    assert value == sum((c * x**k for k, c in enumerate(a)), Fraction(0))
+
+
+@examples
+@given(coeff_lists, coeff_lists)
+def test_eq_and_hash(a, b):
+    pa, pb = Poly(a), Poly(b)
+    assert (pa == pb) == (strip(a) == strip(b))
+    assert pa == Poly(a) and hash(pa) == hash(Poly(a))
+
+
+@examples
+@given(rationals)
+def test_constants_match_numbers(c):
+    p = Poly.const(c)
+    assert p == c and c == p
+    assert hash(p) == hash(c)
+    assert p.constant_value() == c
+
+
+def _is_fraction(value) -> bool:
+    return type(value) is Fraction
+
+
+def _element_coeffs_are_fractions(e) -> bool:
+    return _is_fraction(e.central) and all(_is_fraction(c) for c in e.terms.values())
+
+
+@examples
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_kernel_returns_fractions(seed, rank):
+    rng = random.Random(seed)
+    a = sample_element(rng, rank, 3, 3, allow_central=True)
+    b = sample_element(rng, rank, 3, 3, allow_central=True)
+    plain = sample_element(rng, rank, 3, 3)
+    assert _element_coeffs_are_fractions(algebra.canonical_product(a, b))
+    assert _element_coeffs_are_fractions(algebra.central_bracket(a, b))
+    assert _element_coeffs_are_fractions(algebra.to_falling(a))
+    assert _element_coeffs_are_fractions(algebra.sigma(plain))
+    assert _is_fraction(algebra.cocycle_psi(a, b))
+    fa = sample_falling_element(rng, rank, 3, 3, allow_central=True)
+    fb = sample_falling_element(rng, rank, 3, 3, allow_central=True)
+    assert _element_coeffs_are_fractions(algebra.bracket_falling_direct(fa, fb))
+    assert _element_coeffs_are_fractions(algebra.from_falling(fa))
+    for e in (a + b, a - a, -a, a * Fraction(-2, 3), 2 * a):
+        assert _element_coeffs_are_fractions(e)
+    assert not (a - a)
+
+
+@examples
+@given(st.integers(0, 2**32), st.sampled_from(Family), st.integers(1, 3))
+def test_act_returns_polys(seed, family, m):
+    rng = random.Random(seed)
+    params = ModuleParams.formal(family, 2, m)
+    image = reps.act(sample_element(rng, 2, 3, 3), sample_module_vector(rng, params, 3))
+    for poly in image.entries.values():
+        assert type(poly) is Poly
+        assert_normal(poly)
