@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .exact import (
+    CACHE_SIZE,
     DimensionError,
     falling_factorial,
     falling_to_power_coeffs,
@@ -184,7 +185,7 @@ def _check_pair(a, b, cls) -> None:
         raise DimensionError("operand ranks differ")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _product_expansion(j: int, k: int) -> tuple[tuple[int, int], ...]:
     # (D + k)^j = sum_s binom(j, s) k^s D^(j - s); zero summands dropped.
     out = []
@@ -366,7 +367,7 @@ def homogeneous_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
 
 
 def _sigma_sign(j: int) -> int:
-    # (-1)^(j+1)
+    # (-1)^(j+1), the sign of sigma and of the twisted module family Vbar
     return 1 if j % 2 else -1
 
 

@@ -13,8 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra, expr, reps, verify
-from .exact import DimensionError, Poly
-from .expr import ParseError
+from .exact import Poly
 from .reps import Family, ModuleParams
 
 
@@ -49,7 +48,10 @@ def _add_module_flags(sub: argparse.ArgumentParser) -> None:
         dest="lam",
         default="formal",
         metavar="VALUE",
-        help="module parameter: a rational like 3/2, or 'formal' (default)",
+        help=(
+            "module parameter: a rational like 3/2, or 'formal' (default); "
+            "write a negative value as --lambda=-1/3"
+        ),
     )
 
 
@@ -107,7 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="lam",
         default="formal",
         metavar="VALUE",
-        help="parameter of the twisted side; the partner carries its negative",
+        help=(
+            "parameter of the twisted side, as for act; the partner carries its "
+            "negative; write a negative value as --lambda=-1/3"
+        ),
     )
     pair.add_argument("twisted", metavar="VBAR_VECTOR")
     pair.add_argument("vector", metavar="V_VECTOR")
@@ -134,15 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _module_params(args) -> ModuleParams:
-    family = Family.V if args.family == "V" else Family.VBAR
+def _module_params(args, family: Family, m: int) -> ModuleParams:
     if args.lam == "formal":
-        return ModuleParams.formal(family, args.n, args.m)
+        return ModuleParams.formal(family, args.n, m)
     try:
         value = Fraction(args.lam)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--lambda must be a rational or 'formal', got {args.lam!r}")
-    return ModuleParams(family, args.n, args.m, Poly.const(value))
+    return ModuleParams(family, args.n, m, Poly.const(value))
 
 
 def _emit_element(element, fmt: str) -> None:
@@ -218,7 +222,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    params = _module_params(args)
+    params = _module_params(args, Family(args.family), args.m)
     x = expr.parse_element(args.element, args.n)
     v = expr.parse_module_vector(args.vector, params)
     result = reps.act(x, v)
@@ -230,14 +234,7 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    if args.lam == "formal":
-        params_w = ModuleParams.formal(Family.VBAR, args.n)
-    else:
-        try:
-            value = Fraction(args.lam)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--lambda must be a rational or 'formal', got {args.lam!r}")
-        params_w = ModuleParams(Family.VBAR, args.n, 1, Poly.const(value))
+    params_w = _module_params(args, Family.VBAR, 1)
     w = expr.parse_module_vector(args.twisted, params_w)
     v = expr.parse_module_vector(args.vector, params_w.dual())
     value = reps.pairing(w, v)
@@ -279,10 +276,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and DimensionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,5 @@
-"""Exact arithmetic primitives: rationals, univariate polynomials, and
-square matrices with polynomial entries.
+"""Exact arithmetic primitives: rationals, univariate polynomials, Stirling
+tables, and the banded powers of a Jordan block.
 
 Every scalar is an arbitrary-precision rational (fractions.Fraction) at
 the API.  Polynomials are dense in a single formal indeterminate, which
@@ -14,13 +14,16 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 # The base scalar type.  Fraction already maintains the canonical form we
 # need: reduced, positive denominator, zero stored as 0/1.
 Rational = Fraction
 
-Scalar = Union[int, Fraction]
+# Entries kept by each memo cache of the kernel.  The Jordan powers are
+# keyed by a Poly, so acting with ever-new specialized parameters would
+# otherwise grow that cache without limit.
+CACHE_SIZE = 4096
 
 
 class DimensionError(ValueError):
@@ -281,116 +284,12 @@ _POLY_ZERO = Poly(())
 _POLY_ONE = Poly((1,))
 
 
-class SquareMatrixPoly:
-    """Square matrix with Poly entries and exact matrix algebra."""
+def jordan_shifted_power(base, m: int, j: int) -> tuple[Poly, ...]:
+    """The band of (base * id + J)^j, J the m x m upper-shift nilpotent.
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable]):
-        table = []
-        for row in rows:
-            entries = []
-            for value in row:
-                poly = Poly._coerce(value)
-                if poly is None:
-                    raise TypeError("matrix entries must be exact scalars or Poly")
-                entries.append(poly)
-            table.append(tuple(entries))
-        if not table:
-            raise DimensionError("matrix must have positive size")
-        n = len(table)
-        for row in table:
-            if len(row) != n:
-                raise DimensionError("matrix must be square")
-        object.__setattr__(self, "rows", tuple(table))
-
-    @staticmethod
-    def identity(n: int) -> SquareMatrixPoly:
-        return SquareMatrixPoly(
-            [[_POLY_ONE if r == c else _POLY_ZERO for c in range(n)] for r in range(n)]
-        )
-
-    @staticmethod
-    def zeros(n: int) -> SquareMatrixPoly:
-        return SquareMatrixPoly([[_POLY_ZERO] * n for _ in range(n)])
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, r: int, c: int) -> Poly:
-        return self.rows[r][c]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SquareMatrixPoly):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __add__(self, other: SquareMatrixPoly) -> SquareMatrixPoly:
-        if not isinstance(other, SquareMatrixPoly):
-            return NotImplemented
-        if self.size != other.size:
-            raise DimensionError("matrix sizes differ")
-        return SquareMatrixPoly(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other: SquareMatrixPoly) -> SquareMatrixPoly:
-        if not isinstance(other, SquareMatrixPoly):
-            return NotImplemented
-        return self + other.scaled(-1)
-
-    def scaled(self, scalar) -> SquareMatrixPoly:
-        poly = Poly._coerce(scalar)
-        if poly is None:
-            raise TypeError("scale factor must be an exact scalar or Poly")
-        return SquareMatrixPoly([[poly * e for e in row] for row in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, SquareMatrixPoly):
-            if self.size != other.size:
-                raise DimensionError("matrix sizes differ")
-            n = self.size
-            cols = list(zip(*other.rows))
-            out = []
-            for row in self.rows:
-                out.append(
-                    [
-                        sum((row[k] * cols[c][k] for k in range(n)), _POLY_ZERO)
-                        for c in range(n)
-                    ]
-                )
-            return SquareMatrixPoly(out)
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def transpose(self) -> SquareMatrixPoly:
-        return SquareMatrixPoly(list(zip(*self.rows)))
-
-    def trace(self) -> Poly:
-        return sum((self.rows[k][k] for k in range(self.size)), _POLY_ZERO)
-
-    def __repr__(self) -> str:
-        return f"SquareMatrixPoly({[list(r) for r in self.rows]!r})"
-
-
-def jordan_shifted_power(base, m: int, j: int) -> SquareMatrixPoly:
-    """j-th power of (base * id + J), J the m x m upper-shift nilpotent.
-
-    Entry (r, c) is binom(j, c-r) * base^(j-c+r); the expansion truncates
-    at the (m-1)-th superdiagonal because J^m = 0.
+    The power is upper-triangular and constant along each diagonal, so
+    entry d of the band, binom(j, d) * base^(j-d), is its value on the d-th
+    superdiagonal; the band stops at d = min(m, j+1) - 1 because J^m = 0.
     """
     if m < 1:
         raise ValueError("Jordan block size must be positive")
@@ -402,16 +301,6 @@ def jordan_shifted_power(base, m: int, j: int) -> SquareMatrixPoly:
     return _jordan_power_cached(poly, m, j)
 
 
-@functools.lru_cache(maxsize=None)
-def _jordan_power_cached(base: Poly, m: int, j: int) -> SquareMatrixPoly:
-    rows = []
-    for r in range(m):
-        row = []
-        for c in range(m):
-            s = c - r
-            if 0 <= s <= j:
-                row.append(gen_binomial(j, s) * base ** (j - s))
-            else:
-                row.append(_POLY_ZERO)
-        rows.append(row)
-    return SquareMatrixPoly(rows)
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _jordan_power_cached(base: Poly, m: int, j: int) -> tuple[Poly, ...]:
+    return tuple(math.comb(j, d) * base ** (j - d) for d in range(min(m, j + 1)))

@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
+from . import algebra
 from .algebra import AlgebraElement, embed_scalar
 from .exact import DimensionError, Poly, jordan_shifted_power
 
@@ -145,11 +146,6 @@ class ModuleVector:
         return f"ModuleVector(params={self.params!r}, entries={self.sorted_entries()!r})"
 
 
-def _vbar_sign(j: int) -> int:
-    # (-1)^(j+1), the twist sign of the Vbar action
-    return 1 if j % 2 else -1
-
-
 def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
     """Apply an operator to a module vector.
 
@@ -157,8 +153,9 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
     Family Vbar: (t^i D^j E[p,q]) v[k,p] = (-1)^(j+1) (param+i+k)^j v[i+k,q]
 
     with the shifted power acting on the Jordan slot as the m x m matrix
-    (param+shift)*id + nilpotent, raised to the j-th power.  The central
-    coefficient of x acts as zero.
+    (param+shift)*id + J raised to the j-th power, J the upper-shift
+    nilpotent: it sends Jordan slot s to slot s-d with weight band[d], the
+    band of jordan_shifted_power.  The central coefficient of x acts as zero.
     """
     if not isinstance(x, AlgebraElement):
         raise TypeError("operators act through AlgebraElement values")
@@ -169,25 +166,23 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
     m = params.m
     out: dict[tuple[int, int, int], Poly] = {}
     for mono, cx in x.terms.items():
+        i = mono.i
         for (k, r, s), cv in v.entries.items():
             if twisted:
                 if mono.p != r:
                     continue
-                mat = jordan_shifted_power(params.param + (mono.i + k), m, mono.j)
-                scale = cx * _vbar_sign(mono.j)
+                band = jordan_shifted_power(params.param + (i + k), m, mono.j)
+                contrib = cv * (cx * algebra._sigma_sign(mono.j))
                 target_r = mono.q
             else:
                 if mono.q != r:
                     continue
-                mat = jordan_shifted_power(params.param + k, m, mono.j)
-                scale = cx
+                band = jordan_shifted_power(params.param + k, m, mono.j)
+                contrib = cv * cx
                 target_r = mono.p
-            contrib = cv * scale
-            rows = mat.rows
-            for s2 in range(1, m + 1):
-                w = rows[s2 - 1][s - 1]
+            for d, w in enumerate(band[:s]):
                 if w:
-                    key = (mono.i + k, target_r, s2)
+                    key = (i + k, target_r, s - d)
                     piece = contrib * w
                     out[key] = out[key] + piece if key in out else piece
     return ModuleVector._raw(params, {key: c for key, c in out.items() if c})

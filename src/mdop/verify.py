@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import algebra, expr, reps
 from .algebra import AlgebraElement, FallingElement, Monomial
@@ -144,14 +144,19 @@ def sample_element(
     i_bound: int,
     j_bound: int,
     allow_central: bool = False,
-) -> AlgebraElement:
-    """Short random combination (1-3 terms, small rational coefficients)."""
+    cls=AlgebraElement,
+):
+    """Short random combination (1-3 terms, small rational coefficients).
+
+    cls is the element type built from the terms: AlgebraElement, or
+    FallingElement to read j as a falling power.
+    """
     terms: dict[Monomial, Fraction] = {}
     for _ in range(rng.randint(1, 3)):
         mono = sample_monomial(rng, rank, i_bound, j_bound)
         terms[mono] = terms.get(mono, Fraction(0)) + _sample_coeff(rng)
     central = _sample_coeff(rng) if allow_central and rng.random() < 0.3 else 0
-    return AlgebraElement(rank, terms, central)
+    return cls(rank, terms, central)
 
 
 def sample_falling_element(
@@ -161,12 +166,7 @@ def sample_falling_element(
     j_bound: int,
     allow_central: bool = False,
 ) -> FallingElement:
-    terms: dict[Monomial, Fraction] = {}
-    for _ in range(rng.randint(1, 3)):
-        mono = sample_monomial(rng, rank, i_bound, j_bound)
-        terms[mono] = terms.get(mono, Fraction(0)) + _sample_coeff(rng)
-    central = _sample_coeff(rng) if allow_central and rng.random() < 0.3 else 0
-    return FallingElement(rank, terms, central)
+    return sample_element(rng, rank, i_bound, j_bound, allow_central, FallingElement)
 
 
 def sample_module_vector(
@@ -188,10 +188,11 @@ def sample_module_vector(
 
 
 # ---------------------------------------------------------------------------
-# Checks.  Each takes (config, rng) and returns (samples run, first
-# counterexample or None); counterexamples are printed in the CLI grammar.
+# Checks.  Each takes (config, rng) and yields once per sample: None when
+# the identity holds, else the counterexample printed in the CLI grammar.
+# run_suite counts the samples and stops at the first counterexample.
 
-_CHECKS: dict[str, Callable[[SuiteConfig, random.Random], tuple[int, str | None]]] = {}
+_CHECKS: dict[str, Callable[[SuiteConfig, random.Random], Iterator[str | None]]] = {}
 
 
 def _check(name: str):
@@ -216,165 +217,128 @@ def _fmt(e) -> str:
 
 @_check("antisymmetry")
 def _check_antisymmetry(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for _ in range(cfg.samples):
             a = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
             b = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            done += 1
-            if algebra.central_bracket(a, b) != -algebra.central_bracket(b, a):
-                return done, f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}"
-    return done, None
+            bad = algebra.central_bracket(a, b) != -algebra.central_bracket(b, a)
+            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}" if bad else None
 
 
 @_check("jacobi_plain")
 def _check_jacobi_plain(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for _ in range(cfg.samples):
             a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
             b = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
             c = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            done += 1
             total = (
                 algebra.plain_bracket(a, algebra.plain_bracket(b, c))
                 + algebra.plain_bracket(b, algebra.plain_bracket(c, a))
                 + algebra.plain_bracket(c, algebra.plain_bracket(a, b))
             )
-            if total:
-                return done, f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}"
-    return done, None
+            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}" if total else None
 
 
 @_check("jacobi_central")
 def _check_jacobi_central(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for _ in range(cfg.samples):
             a = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
             b = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
             c = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            done += 1
             total = (
                 algebra.central_bracket(a, algebra.central_bracket(b, c))
                 + algebra.central_bracket(b, algebra.central_bracket(c, a))
                 + algebra.central_bracket(c, algebra.central_bracket(a, b))
             )
-            if total:
-                return done, f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}"
-    return done, None
+            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}" if total else None
 
 
 @_check("cocycle_identity")
 def _check_cocycle_identity(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for _ in range(cfg.samples):
             a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
             b = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
             c = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            done += 1
             total = (
                 algebra.cocycle_psi(algebra.plain_bracket(a, b), c)
                 + algebra.cocycle_psi(algebra.plain_bracket(b, c), a)
                 + algebra.cocycle_psi(algebra.plain_bracket(c, a), b)
             )
-            if total:
-                return done, f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}"
-    return done, None
+            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}" if total else None
 
 
 @_check("associativity")
 def _check_associativity(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for _ in range(cfg.samples):
             a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
             b = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
             c = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            done += 1
             left = algebra.canonical_product(algebra.canonical_product(a, b), c)
             right = algebra.canonical_product(a, algebra.canonical_product(b, c))
-            if left != right:
-                return done, f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}"
-    return done, None
+            bad = left != right
+            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}" if bad else None
 
 
 @_check("falling_agreement")
 def _check_falling_agreement(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for _ in range(cfg.samples):
             fa = sample_falling_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
             fb = sample_falling_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            done += 1
             direct = algebra.bracket_falling_direct(fa, fb)
             via = algebra.to_falling(
                 algebra.central_bracket(algebra.from_falling(fa), algebra.from_falling(fb))
             )
-            if direct != via:
-                return done, f"n={n}; a = {_fmt(fa)}; b = {_fmt(fb)}"
-    return done, None
+            yield f"n={n}; a = {_fmt(fa)}; b = {_fmt(fb)}" if direct != via else None
 
 
 @_check("grading_additivity")
 def _check_grading_additivity(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for _ in range(cfg.samples):
             ma = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
             mb = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
             a = AlgebraElement.term(n, *ma, coeff=_sample_coeff(rng))
             b = AlgebraElement.term(n, *mb, coeff=_sample_coeff(rng))
-            done += 1
             expected = algebra.degree(ma, n) + algebra.degree(mb, n)
             comps = algebra.homogeneous_components(algebra.central_bracket(a, b))
-            if any(d != expected for d in comps):
-                return done, f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}"
-    return done, None
+            bad = any(d != expected for d in comps)
+            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}" if bad else None
 
 
 @_check("sigma_bracket")
 def _check_sigma_bracket(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for _ in range(cfg.samples):
             a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
             b = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            done += 1
             lhs = algebra.sigma(algebra.plain_bracket(a, b))
             rhs = algebra.plain_bracket(algebra.sigma(a), algebra.sigma(b))
-            if lhs != rhs:
-                return done, f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}"
-    return done, None
+            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}" if lhs != rhs else None
 
 
 @_check("sigma_involution")
 def _check_sigma_involution(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for _ in range(cfg.samples):
             a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            done += 1
-            if algebra.sigma(algebra.sigma(a)) != a:
-                return done, f"n={n}; a = {_fmt(a)}"
-    return done, None
+            yield f"n={n}; a = {_fmt(a)}" if algebra.sigma(algebra.sigma(a)) != a else None
 
 
 @_check("sigma_identity_sign")
 def _check_sigma_identity_sign(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         ident = algebra.embed_scalar(0, 0, n)
-        done += 1
-        if algebra.sigma(ident) != -ident:
-            return done, f"n={n}; sigma(identity) != -identity"
-    return done, None
+        bad = algebra.sigma(ident) != -ident
+        yield f"n={n}; sigma(identity) != -identity" if bad else None
 
 
 @_check("twist_action")
 def _check_twist_action(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         params_v = ModuleParams.formal(Family.V, n)
         params_b = ModuleParams.formal(Family.VBAR, n)
@@ -382,16 +346,13 @@ def _check_twist_action(cfg, rng):
             x = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
             vb = sample_module_vector(rng, params_b, cfg.i_bound)
             v = ModuleVector(params_v, vb.entries)
-            done += 1
             lhs = reps.act(x, vb)
             rhs = reps.act(algebra.sigma(x), v)
-            if lhs.entries != rhs.entries:
-                return done, f"n={n}; x = {_fmt(x)}; v = {_fmt(vb)}"
-    return done, None
+            bad = lhs.entries != rhs.entries
+            yield f"n={n}; x = {_fmt(x)}; v = {_fmt(vb)}" if bad else None
 
 
 def _module_axiom(cfg, rng, family):
-    done = 0
     for n in cfg.ranks:
         for m in cfg.m_values:
             params = ModuleParams.formal(family, n, m)
@@ -399,15 +360,12 @@ def _module_axiom(cfg, rng, family):
                 x = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
                 y = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
                 v = sample_module_vector(rng, params, cfg.i_bound)
-                done += 1
                 lhs = reps.act(algebra.central_bracket(x, y), v)
                 rhs = reps.act(x, reps.act(y, v)) - reps.act(y, reps.act(x, v))
-                if lhs != rhs:
-                    return done, (
-                        f"n={n} family={family.value} m={m}; "
-                        f"x = {_fmt(x)}; y = {_fmt(y)}; v = {_fmt(v)}"
-                    )
-    return done, None
+                yield (
+                    f"n={n} family={family.value} m={m}; "
+                    f"x = {_fmt(x)}; y = {_fmt(y)}; v = {_fmt(v)}"
+                ) if lhs != rhs else None
 
 
 @_check("module_axiom_V")
@@ -422,7 +380,6 @@ def _check_module_axiom_vbar(cfg, rng):
 
 @_check("pairing_contravariance")
 def _check_pairing_contravariance(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         params_w = ModuleParams.formal(Family.VBAR, n)
         params_v = params_w.dual()
@@ -430,23 +387,18 @@ def _check_pairing_contravariance(cfg, rng):
             x = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
             w = sample_module_vector(rng, params_w, cfg.i_bound)
             v = sample_module_vector(rng, params_v, cfg.i_bound)
-            done += 1
             lhs = reps.pairing(reps.act(x, w), v)
             rhs = -reps.pairing(w, reps.act(x, v))
-            if lhs != rhs:
-                return done, f"n={n}; x = {_fmt(x)}; w = {_fmt(w)}; v = {_fmt(v)}"
-    return done, None
+            yield f"n={n}; x = {_fmt(x)}; w = {_fmt(w)}; v = {_fmt(v)}" if lhs != rhs else None
 
 
 @_check("matrix_unit_bracket")
 def _check_matrix_unit_bracket(cfg, rng):
     # Closed form of [D E[p,q], t E[p',q']], exhaustive over matrix slots.
-    done = 0
     for n in cfg.ranks:
         for p, q, pp, qq in iter_product(range(1, n + 1), repeat=4):
             a = AlgebraElement.term(n, 0, 1, p, q)
             b = AlgebraElement.term(n, 1, 0, pp, qq)
-            done += 1
             rhs_terms: dict[Monomial, Fraction] = {}
             if q == pp:
                 for key in (Monomial(1, 0, p, qq), Monomial(1, 1, p, qq)):
@@ -454,10 +406,8 @@ def _check_matrix_unit_bracket(cfg, rng):
             if qq == p:
                 key = Monomial(1, 1, pp, q)
                 rhs_terms[key] = rhs_terms.get(key, Fraction(0)) - 1
-            rhs = AlgebraElement(n, rhs_terms)
-            if algebra.central_bracket(a, b) != rhs:
-                return done, f"n={n}; a = D E[{p},{q}]; b = t E[{pp},{qq}]"
-    return done, None
+            bad = algebra.central_bracket(a, b) != AlgebraElement(n, rhs_terms)
+            yield f"n={n}; a = D E[{p},{q}]; b = t E[{pp},{qq}]" if bad else None
 
 
 @_check("vector_field_bracket")
@@ -465,14 +415,12 @@ def _check_vector_field_bracket(cfg, rng):
     # [t^i [D]_1, t^k] = k t^(i+k) - delta(i,-k) binom(i+1, 2) N C on the
     # scalar embedding, checked both directly in the falling basis and
     # through the power-basis bracket.
-    done = 0
     for n in cfg.ranks:
         diag = range(1, n + 1)
         for i in range(-cfg.i_bound, cfg.i_bound + 1):
             for k in range(-cfg.i_bound, cfg.i_bound + 1):
                 a = FallingElement(n, {Monomial(i, 1, p, p): 1 for p in diag})
                 b = FallingElement(n, {Monomial(k, 0, p, p): 1 for p in diag})
-                done += 1
                 terms = {Monomial(i + k, 0, p, p): Fraction(k) for p in diag} if k else {}
                 central = -gen_binomial(i + 1, 2) * n if i == -k else Fraction(0)
                 expected = FallingElement(n, terms, central)
@@ -480,36 +428,30 @@ def _check_vector_field_bracket(cfg, rng):
                 via = algebra.to_falling(
                     algebra.central_bracket(algebra.from_falling(a), algebra.from_falling(b))
                 )
-                if direct != expected or via != expected:
-                    return done, f"n={n}; i={i}; k={k}"
-    return done, None
+                bad = direct != expected or via != expected
+                yield f"n={n}; i={i}; k={k}" if bad else None
 
 
 @_check("grade_bijection")
 def _check_grade_bijection(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for family in _FAMILIES:
             params = ModuleParams.formal(family, n)
             for g in range(-100, 101):
                 k, r = reps.slot_of_grade(params, g)
-                done += 1
-                if not (1 <= r <= n) or reps.grade_index(params, k, r) != g:
-                    return done, f"n={n} family={family.value}; grade={g}"
+                bad = not (1 <= r <= n) or reps.grade_index(params, k, r) != g
+                yield f"n={n} family={family.value}; grade={g}" if bad else None
             seen: set[int] = set()
             for k in range(-25, 26):
                 for r in range(1, n + 1):
                     g = reps.grade_index(params, k, r)
-                    done += 1
-                    if g in seen or reps.slot_of_grade(params, g) != (k, r):
-                        return done, f"n={n} family={family.value}; k={k} r={r}"
+                    bad = g in seen or reps.slot_of_grade(params, g) != (k, r)
+                    yield f"n={n} family={family.value}; k={k} r={r}" if bad else None
                     seen.add(g)
-    return done, None
 
 
 @_check("module_grading")
 def _check_module_grading(cfg, rng):
-    done = 0
     for n in cfg.ranks:
         for family in _FAMILIES:
             for m in cfg.m_values:
@@ -521,7 +463,6 @@ def _check_module_grading(cfg, rng):
                     r = rng.randint(1, n)
                     s = rng.randint(1, m)
                     v = ModuleVector.basis(params, k, r, s)
-                    done += 1
                     shift = algebra.degree(mono, n)
                     base = reps.grade_index(params, k, r)
                     image = reps.act(x, v)
@@ -529,12 +470,10 @@ def _check_module_grading(cfg, rng):
                         reps.grade_index(params, k2, r2) != base + shift
                         for (k2, r2, _s2) in image.entries
                     )
-                    if bad:
-                        return done, (
-                            f"n={n} family={family.value} m={m}; "
-                            f"x = {_fmt(x)}; v = {_fmt(v)}"
-                        )
-    return done, None
+                    yield (
+                        f"n={n} family={family.value} m={m}; "
+                        f"x = {_fmt(x)}; v = {_fmt(v)}"
+                    ) if bad else None
 
 
 @_check("no_hw_lw")
@@ -542,7 +481,6 @@ def _check_no_hw_lw(cfg, rng):
     # With a formal parameter no vector of the generic family-V module is
     # extremal: some bounded generator of positive grade and some of
     # negative grade must act nonzero on every homogeneous vector.
-    done = 0
     for n in cfg.ranks:
         params = ModuleParams.formal(Family.V, n)
         gens = [
@@ -558,12 +496,12 @@ def _check_no_hw_lw(cfg, rng):
             k = rng.randint(-cfg.i_bound, cfg.i_bound)
             r = rng.randint(1, n)
             v = ModuleVector(params, {(k, r, 1): Poly((_sample_coeff(rng),))})
-            done += 1
             if not any(reps.act(g, v) for g in positive):
-                return done, f"n={n}; v = {_fmt(v)}; annihilated by the positive box"
-            if not any(reps.act(g, v) for g in negative):
-                return done, f"n={n}; v = {_fmt(v)}; annihilated by the negative box"
-    return done, None
+                yield f"n={n}; v = {_fmt(v)}; annihilated by the positive box"
+            elif not any(reps.act(g, v) for g in negative):
+                yield f"n={n}; v = {_fmt(v)}; annihilated by the negative box"
+            else:
+                yield None
 
 
 def _generator_grade(g: AlgebraElement, n: int) -> int:
@@ -587,7 +525,10 @@ def run_suite(config: SuiteConfig) -> Report:
     for name in names:
         rng = random.Random(f"{config.seed}:{name}")
         start = time.perf_counter()
-        samples, counterexample = _CHECKS[name](config, rng)
+        samples, counterexample = 0, None
+        for samples, counterexample in enumerate(_CHECKS[name](config, rng), 1):
+            if counterexample is not None:
+                break
         elapsed = time.perf_counter() - start
         results.append(
             CheckResult(name, samples, counterexample is None, counterexample, elapsed)

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import mdop.algebra as algebra
-import mdop.reps as reps
 from mdop.algebra import FallingElement, Monomial, embed_scalar
 from mdop.cli import main as cli_main
 from mdop.exact import gen_binomial
@@ -235,6 +234,6 @@ class TestCriterion11MutationSensitivity:
         assert self._failing()
 
     def test_twist_sign_removal_is_detected(self, monkeypatch):
-        monkeypatch.setattr(reps, "_vbar_sign", lambda j: 1)
+        monkeypatch.setattr(algebra, "_sigma_sign", lambda j: 1)
         assert self._failing()
         _announce(11, "all three kernel mutations trip named checks")

@@ -95,6 +95,42 @@ class TestCommands:
         }
 
 
+class TestLeadingMinusSpellings:
+    # argparse reads a value that starts with '-' as an option: a negative
+    # --lambda must be joined with '=', and a negative expression must
+    # follow '--'.
+    def test_negative_lambda_joined(self, capsys):
+        code, out, _ = run_cli(capsys, "act", "--n", "1", "--lambda=-1/3", "D", "v[2,1]")
+        assert code == 0
+        assert out.strip() == "5/3*v[2,1]"
+
+    def test_negative_lambda_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "act", "--n", "1", "--format", "json", "--lambda=-1/3", "D", "v[2,1]"
+        )
+        assert code == 0
+        assert json.loads(out)["lambda"] == "-1/3"
+
+    def test_negative_lambda_for_pair(self, capsys):
+        code, out, _ = run_cli(capsys, "pair", "--n", "1", "--lambda=-1/3", "3*v[2,1]", "v[-2,1]")
+        assert code == 0
+        assert out.strip() == "3"
+
+    def test_negative_lambda_separate_is_refused(self, capsys):
+        for command in ("act", "pair"):
+            code, _, err = run_cli(capsys, command, "--n", "1", "--lambda", "-1/3", "D", "v[2,1]")
+            assert code == 2
+            assert "--lambda" in err
+
+    def test_negative_expression_after_double_dash(self, capsys):
+        code, out, _ = run_cli(capsys, "bracket", "--n", "1", "--", "-t", "D")
+        assert code == 0
+        assert out.strip() == "t"
+
+    def test_negative_expression_without_double_dash_is_refused(self, capsys):
+        assert run_cli(capsys, "bracket", "--n", "1", "-t", "D")[0] == 2
+
+
 class TestVerifyCommand:
     def test_small_all_pass_run(self, capsys):
         code, out, _ = run_cli(

@@ -1,13 +1,13 @@
-"""Exact arithmetic: binomials, basis conversions, Jordan powers, matrices."""
+"""Exact arithmetic: binomials, basis conversions, Jordan power bands."""
 
 from fractions import Fraction
 
 import pytest
 
+from mdop.algebra import _product_expansion
 from mdop.exact import (
-    DimensionError,
     Poly,
-    SquareMatrixPoly,
+    _jordan_power_cached,
     falling_factorial,
     falling_to_power_coeffs,
     gen_binomial,
@@ -103,54 +103,59 @@ class TestStirlingConversions:
             assert total == expected
 
 
+def _truncated_convolution(a, b, m):
+    # The band of a product of two upper-triangular Toeplitz m x m matrices.
+    out = [Poly(())] * m
+    for d1, x in enumerate(a):
+        for d2, y in enumerate(b):
+            if d1 + d2 < m:
+                out[d1 + d2] = out[d1 + d2] + x * y
+    return out
+
+
 class TestJordanShiftedPower:
     def test_scalar_case(self):
-        mat = jordan_shifted_power(X + 3, 1, 2)
-        assert mat.size == 1
-        assert mat.entry(0, 0) == (X + 3) * (X + 3)
+        assert jordan_shifted_power(X + 3, 1, 2) == ((X + 3) * (X + 3),)
 
     def test_two_by_two_square(self):
-        mat = jordan_shifted_power(X, 2, 2)
-        assert mat.rows == SquareMatrixPoly([[X * X, 2 * X], [0, X * X]]).rows
+        # (X id + J)^2 = [[X^2, 2X], [0, X^2]]
+        assert jordan_shifted_power(X, 2, 2) == (X * X, 2 * X)
+
+    def test_band_stops_at_j_plus_one(self):
+        # (X id + J)^1 has no J^2 term, so at m = 3 the band has two entries.
+        assert jordan_shifted_power(X, 3, 1) == (X, Poly.const(1))
 
     def test_zeroth_power_is_identity(self):
-        assert jordan_shifted_power(X, 3, 0) == SquareMatrixPoly.identity(3)
+        assert jordan_shifted_power(X, 3, 0) == (Poly.const(1),)
+
+    def test_entries_are_polys(self):
+        band = jordan_shifted_power(Fraction(1, 2), 3, 4)
+        assert all(type(w) is Poly for w in band)
+        assert band == (Fraction(1, 16), 4 * Fraction(1, 8), 6 * Fraction(1, 4))
 
     def test_power_additivity(self):
-        for m in (1, 2, 3):
-            for j1 in range(4):
-                for j2 in range(4):
-                    left = jordan_shifted_power(X, m, j1) * jordan_shifted_power(X, m, j2)
-                    assert left == jordan_shifted_power(X, m, j1 + j2)
+        for m in (1, 2, 3, 4):
+            for j1 in range(5):
+                for j2 in range(5):
+                    left = _truncated_convolution(
+                        jordan_shifted_power(X + 1, m, j1), jordan_shifted_power(X + 1, m, j2), m
+                    )
+                    band = jordan_shifted_power(X + 1, m, j1 + j2)
+                    assert left == list(band) + [0] * (m - len(band))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             jordan_shifted_power(X, 0, 1)
         with pytest.raises(ValueError):
             jordan_shifted_power(X, 2, -1)
+        with pytest.raises(TypeError):
+            jordan_shifted_power(1.5, 2, 1)
 
 
-class TestMatrixOps:
-    def test_unit_product(self):
-        e12 = SquareMatrixPoly([[0, 1], [0, 0]])
-        e21 = SquareMatrixPoly([[0, 0], [1, 0]])
-        e11 = SquareMatrixPoly([[1, 0], [0, 0]])
-        assert e12 * e21 == e11
-
-    def test_trace_of_identity(self):
-        assert SquareMatrixPoly.identity(3).trace() == 3
-
-    def test_transpose(self):
-        e12 = SquareMatrixPoly([[0, 1], [0, 0]])
-        assert e12.transpose() == SquareMatrixPoly([[0, 0], [1, 0]])
-
-    def test_size_mismatch(self):
-        with pytest.raises(DimensionError):
-            SquareMatrixPoly.identity(2) * SquareMatrixPoly.identity(3)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            SquareMatrixPoly([[1, 0]])
+class TestCacheBounds:
+    def test_kernel_caches_are_bounded(self):
+        for cached in (_jordan_power_cached, _product_expansion):
+            assert cached.cache_info().maxsize is not None
 
 
 class TestPoly:

@@ -52,6 +52,18 @@ def _act_zeroed_on_positive(x, v):
     return _ORIG_ACT(x, v)
 
 
+class _AlgebraWithoutTwistSign:
+    """The algebra module as reps.act reads it, with the twist sign dropped.
+
+    Only the Vbar action sees the constant sign; sigma keeps its own.
+    """
+
+    _sigma_sign = staticmethod(lambda j: 1)
+
+    def __getattr__(self, name):
+        return getattr(algebra, name)
+
+
 def _act_target_shifted(x, v):
     image = _ORIG_ACT(x, v)
     return ModuleVector._raw(
@@ -91,14 +103,20 @@ MUTATIONS = [
         },
     ),
     (
+        # The sign dropped in the Vbar action only, as reps reaches it.
         "twist_sign_dropped",
-        reps, "_vbar_sign", lambda j: 1,
+        reps, "algebra", _AlgebraWithoutTwistSign(),
         {"module_axiom_Vbar", "pairing_contravariance", "twist_action"},
     ),
     (
+        # One sign serves sigma and the Vbar action, so twist_action, which
+        # compares the two, still holds when both lose it.
         "sigma_sign_dropped",
         algebra, "_sigma_sign", lambda j: 1,
-        {"sigma_bracket", "sigma_identity_sign", "sigma_involution", "twist_action"},
+        {
+            "module_axiom_Vbar", "pairing_contravariance", "sigma_bracket",
+            "sigma_identity_sign", "sigma_involution",
+        },
     ),
     (
         "degree_mutated",

@@ -29,6 +29,19 @@ def formal(family=Family.V, rank=1, m=1):
     return ModuleParams.formal(family, rank, m)
 
 
+def _dense_identity(m):
+    return [[Poly.const(1) if r == c else Poly(()) for c in range(m)] for r in range(m)]
+
+
+def _dense_times_shifted_jordan(mat, base):
+    # mat * (base id + J), J the m x m upper shift: column c gains column c-1.
+    m = len(mat)
+    return [
+        [mat[r][c] * base + (mat[r][c - 1] if c else Poly(())) for c in range(m)]
+        for r in range(m)
+    ]
+
+
 class TestAct:
     def test_matrix_shift_example(self):
         # (t^2 D E[1,2]) v[3,2] = (3+a) v[5,1] in family V
@@ -72,6 +85,32 @@ class TestAct:
         assert act(d, v2) == ModuleVector(params, {(0, 1, 2): X, (0, 1, 1): 1})
         v1 = ModuleVector.basis(params, 0, 1, 1)
         assert act(d, v1) == ModuleVector(params, {(0, 1, 1): X})
+
+    def test_jordan_action_matches_dense_power(self):
+        # t^i D^j E[1,2] acts on Jordan slot s through column s of the dense
+        # matrix (base id + J)^j, base = param + k (V) or param + i + k (Vbar).
+        cx = Fraction(3, 2)
+        cv = {1: Poly((1, Fraction(1, 2))), 2: Poly.const(5)}  # by matrix slot
+        for family in (Family.V, Family.VBAR):
+            twisted = family is Family.VBAR
+            source, target = (1, 2) if twisted else (2, 1)
+            for m in (1, 2, 3, 4):
+                for param in (X, Poly.const(Fraction(-2, 3)), Poly.const(0)):
+                    params = ModuleParams(family, 2, m, param)
+                    for i, k in ((0, 0), (-1, 1), (2, -2), (2, 1), (-1, -1)):
+                        base = param + (i + k if twisted else k)
+                        dense = _dense_identity(m)
+                        for j in range(5):
+                            x = AlgebraElement.term(2, i, j, 1, 2, coeff=cx)
+                            scale = cx * (-1) ** (j + 1) if twisted else cx
+                            for s in range(1, m + 1):
+                                v = ModuleVector(params, {(k, r, s): c for r, c in cv.items()})
+                                expected = ModuleVector(params, {
+                                    (i + k, target, s2): cv[source] * scale * dense[s2 - 1][s - 1]
+                                    for s2 in range(1, m + 1)
+                                })
+                                assert act(x, v) == expected, (family, m, param, i, k, j, s)
+                            dense = _dense_times_shifted_jordan(dense, base)
 
     def test_module_axiom_all_families(self):
         rng = random.Random(71)
