@@ -25,6 +25,7 @@ from typing import Mapping, NamedTuple
 from .exact import (
     CACHE_SIZE,
     DimensionError,
+    _as_fraction,
     falling_factorial,
     falling_to_power_coeffs,
     gen_binomial,
@@ -64,6 +65,7 @@ class _OperatorSum:
 
     Shared implementation of the power-basis and falling-basis element
     types; the two are distinct classes so they never mix silently.
+    Coefficients must be exact (int or Fraction); others raise TypeError.
     """
 
     __slots__ = ("rank", "terms", "central")
@@ -80,12 +82,12 @@ class _OperatorSum:
                     raise ValueError(f"negative D power in {mono}")
                 if not (1 <= mono.p <= rank and 1 <= mono.q <= rank):
                     raise DimensionError(f"matrix indices of {mono} out of range for rank {rank}")
-                value = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                value = _as_fraction(coeff)
                 if value:
                     table[mono] = value
         self.rank = rank
         self.terms = table
-        self.central = central if isinstance(central, Fraction) else Fraction(central)
+        self.central = _as_fraction(central)
 
     @classmethod
     def _raw(cls, rank: int, terms: dict[Monomial, Fraction], central: Fraction):

@@ -1,6 +1,8 @@
 """Command-line front end.
 
-One subcommand per kernel operation plus the suite runner.  Exit codes:
+One subcommand per kernel operation plus the suite runner.  The five that
+apply a single algebra function come from one table, and every result is
+written as text or JSON by one renderer.  Exit codes:
 0 on success, 1 when a verify run reports any failing check, 2 on parse
 or usage errors.  All diagnostics go to stderr.
 """
@@ -13,8 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import algebra, expr, reps, verify
+from .algebra import AlgebraElement, FallingElement
 from .exact import Poly
-from .reps import Family, ModuleParams
+from .reps import Family, ModuleParams, ModuleVector
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -28,7 +31,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _name_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    names = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not names:
+        raise argparse.ArgumentTypeError("expected at least one check name")
+    return names
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -55,6 +61,17 @@ def _add_module_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+# Subcommands that apply one algebra function to their parsed operands:
+# name -> (help, operand count, name of the function in algebra).
+_ELEMENT_COMMANDS = {
+    "bracket": ("centrally extended bracket of two elements", 2, "central_bracket"),
+    "product": ("associative product of two elements", 2, "canonical_product"),
+    "cocycle": ("value of the defining 2-cocycle", 2, "cocycle_psi"),
+    "sigma": ("twist automorphism of a central-free element", 1, "sigma"),
+    "degree": ("split an element into homogeneous components", 1, "homogeneous_components"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdop",
@@ -62,35 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    bracket = commands.add_parser("bracket", help="centrally extended bracket of two elements")
-    _add_common(bracket)
-    bracket.add_argument("exprs", nargs=2, metavar="EXPR")
-    bracket.set_defaults(func=_cmd_bracket)
-
-    product = commands.add_parser("product", help="associative product of two elements")
-    _add_common(product)
-    product.add_argument("exprs", nargs=2, metavar="EXPR")
-    product.set_defaults(func=_cmd_product)
-
-    cocycle = commands.add_parser("cocycle", help="value of the defining 2-cocycle")
-    _add_common(cocycle)
-    cocycle.add_argument("exprs", nargs=2, metavar="EXPR")
-    cocycle.set_defaults(func=_cmd_cocycle)
-
-    sig = commands.add_parser("sigma", help="twist automorphism of a central-free element")
-    _add_common(sig)
-    sig.add_argument("expr", metavar="EXPR")
-    sig.set_defaults(func=_cmd_sigma)
-
-    deg = commands.add_parser("degree", help="split an element into homogeneous components")
-    _add_common(deg)
-    deg.add_argument("expr", metavar="EXPR")
-    deg.set_defaults(func=_cmd_degree)
+    for name, (help_text, arity, op) in _ELEMENT_COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        _add_common(sub)
+        sub.add_argument("exprs", nargs=arity, metavar="EXPR")
+        sub.set_defaults(func=_cmd_element, op=op)
 
     convert = commands.add_parser("convert", help="change between power and falling bases")
     _add_common(convert)
     convert.add_argument("--to", choices=("falling", "power"), required=True)
-    convert.add_argument("expr", metavar="EXPR")
+    convert.add_argument("exprs", nargs=1, metavar="EXPR")
     convert.set_defaults(func=_cmd_convert)
 
     act = commands.add_parser("act", help="apply an element to a module vector")
@@ -149,107 +147,58 @@ def _module_params(args, family: Family, m: int) -> ModuleParams:
     return ModuleParams(family, args.n, m, Poly.const(value))
 
 
-def _emit_element(element, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(expr.element_to_json(element)))
-    else:
-        print(expr.format_element(element))
+def _render(value) -> tuple[object, str]:
+    """The JSON object and the text of a command's result."""
+    if isinstance(value, AlgebraElement):
+        return expr.element_to_json(value), expr.format_element(value)
+    if isinstance(value, FallingElement):
+        return expr.falling_element_to_json(value), expr.format_falling_element(value)
+    if isinstance(value, ModuleVector):
+        return expr.module_vector_to_json(value), expr.format_module_vector(value)
+    if isinstance(value, Poly):
+        return expr.poly_to_json(value), expr.format_poly(value)
+    if isinstance(value, dict):  # homogeneous components by degree
+        rows = [{"degree": d, "element": expr.element_to_json(c)} for d, c in value.items()]
+        text = "\n".join(f"{d}: {expr.format_element(c)}" for d, c in value.items())
+        return {"components": rows}, text or "0"
+    if isinstance(value, verify.Report):
+        return value.to_json(), value.to_text()
+    return {"value": str(value)}, str(value)  # a cocycle value
 
 
-def _cmd_bracket(args) -> int:
-    a = expr.parse_element(args.exprs[0], args.n)
-    b = expr.parse_element(args.exprs[1], args.n)
-    _emit_element(algebra.central_bracket(a, b), args.format)
-    return 0
+def _elements(args) -> list[AlgebraElement]:
+    return [expr.parse_element(text, args.n) for text in args.exprs]
 
 
-def _cmd_product(args) -> int:
-    a = expr.parse_element(args.exprs[0], args.n)
-    b = expr.parse_element(args.exprs[1], args.n)
-    _emit_element(algebra.canonical_product(a, b), args.format)
-    return 0
+def _cmd_element(args):
+    # Looked up per call, so a patched algebra function is the one called.
+    return getattr(algebra, args.op)(*_elements(args))
 
 
-def _cmd_cocycle(args) -> int:
-    a = expr.parse_element(args.exprs[0], args.n)
-    b = expr.parse_element(args.exprs[1], args.n)
-    value = algebra.cocycle_psi(a, b)
-    if args.format == "json":
-        print(json.dumps({"value": str(value)}))
-    else:
-        print(value)
-    return 0
+def _cmd_convert(args):
+    (element,) = _elements(args)
+    return element if args.to == "power" else algebra.to_falling(element)
 
 
-def _cmd_sigma(args) -> int:
-    a = expr.parse_element(args.expr, args.n)
-    _emit_element(algebra.sigma(a), args.format)
-    return 0
-
-
-def _cmd_degree(args) -> int:
-    components = algebra.homogeneous_components(expr.parse_element(args.expr, args.n))
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "components": [
-                        {"degree": d, "element": expr.element_to_json(c)}
-                        for d, c in components.items()
-                    ]
-                }
-            )
-        )
-    elif not components:
-        print("0")
-    else:
-        for d, component in components.items():
-            print(f"{d}: {expr.format_element(component)}")
-    return 0
-
-
-def _cmd_convert(args) -> int:
-    element = expr.parse_element(args.expr, args.n)
-    if args.to == "power":
-        _emit_element(element, args.format)
-        return 0
-    falling = algebra.to_falling(element)
-    if args.format == "json":
-        print(json.dumps(expr.falling_element_to_json(falling)))
-    else:
-        print(expr.format_falling_element(falling))
-    return 0
-
-
-def _cmd_act(args) -> int:
+def _cmd_act(args) -> ModuleVector:
     params = _module_params(args, Family(args.family), args.m)
     x = expr.parse_element(args.element, args.n)
     v = expr.parse_module_vector(args.vector, params)
-    result = reps.act(x, v)
-    if args.format == "json":
-        print(json.dumps(expr.module_vector_to_json(result)))
-    else:
-        print(expr.format_module_vector(result))
-    return 0
+    return reps.act(x, v)
 
 
-def _cmd_pair(args) -> int:
+def _cmd_pair(args) -> Poly:
     params_w = _module_params(args, Family.VBAR, 1)
     w = expr.parse_module_vector(args.twisted, params_w)
     v = expr.parse_module_vector(args.vector, params_w.dual())
-    value = reps.pairing(w, v)
-    if args.format == "json":
-        print(json.dumps(expr.poly_to_json(value)))
-    else:
-        print(expr.format_poly(value))
-    return 0
+    return reps.pairing(w, v)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.list_checks:
         for name in verify.available_checks():
             print(name)
-        return 0
+        return None
     config = verify.SuiteConfig(
         ranks=args.n,
         i_bound=args.i_bound,
@@ -259,12 +208,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         checks=args.checks,
     )
-    report = verify.run_suite(config)
-    if args.format == "json":
-        print(json.dumps(report.to_json()))
-    else:
-        print(report.to_text())
-    return 0 if report.passed else 1
+    return verify.run_suite(config)
 
 
 def main(argv=None) -> int:
@@ -275,10 +219,15 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        value = args.func(args)
+        if value is None:  # verify --list-checks has printed the names
+            return 0
+        as_json, text = _render(value)
     except ValueError as exc:  # ParseError and DimensionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(as_json) if args.format == "json" else text)
+    return 1 if isinstance(value, verify.Report) and not value.passed else 0
 
 
 if __name__ == "__main__":

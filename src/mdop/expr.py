@@ -124,15 +124,30 @@ def _parse_signed_int(ts: _TokenStream, what: str) -> int:
     return -value if negative else value
 
 
-def _parse_rational(ts: _TokenStream) -> Fraction:
-    num = ts.expect_int("a number")
+def _parse_coefficient(ts: _TokenStream) -> Fraction | None:
+    """The optional rational that opens a term, with the '*' after it."""
+    if ts.peek().kind != "INT":
+        return None
+    num, den = int(ts.advance().text), 1
     if ts.accept_op("/"):
         pos = ts.peek().pos
         den = ts.expect_int("a denominator")
         if den == 0:
             raise ParseError("zero denominator", pos)
-        return Fraction(num, den)
-    return Fraction(num)
+    ts.accept_op("*")
+    return Fraction(num, den)
+
+
+def _signed_terms(ts: _TokenStream, parse_term):
+    """Yield (sign, term) for each term of ['-'] term (('+' | '-') term)*."""
+    sign = -1 if ts.accept_op("-") else 1
+    while True:
+        yield sign, parse_term(ts)
+        tok = ts.peek()
+        if not (tok.kind == "OP" and tok.text in "+-"):
+            return
+        ts.advance()
+        sign = 1 if tok.text == "+" else -1
 
 
 def _parse_exponent(ts: _TokenStream, atom: str, allow_negative: bool) -> int:
@@ -162,12 +177,7 @@ def _parse_matrix_ref(ts: _TokenStream, rank: int) -> tuple[int, int]:
 
 def _parse_term(ts: _TokenStream, rank: int):
     """One additive term.  Returns (central_coeff | None, {Monomial: Fraction})."""
-    coeff = Fraction(1)
-    explicit = False
-    if ts.peek().kind == "INT":
-        coeff = _parse_rational(ts)
-        explicit = True
-        ts.accept_op("*")
+    coeff = _parse_coefficient(ts)
     i = 0
     j_power = 0
     j_falling: int | None = None
@@ -202,8 +212,10 @@ def _parse_term(ts: _TokenStream, rank: int):
             )
         saw_atom = True
         ts.accept_op("*")
-    if not explicit and not saw_atom:
-        ts.error("expected a coefficient or an atom")
+    if coeff is None:
+        if not saw_atom:
+            ts.error("expected a coefficient or an atom")
+        coeff = Fraction(1)
     if is_central:
         if i or j_power or j_falling is not None or matrix is not None:
             ts.error("C cannot be combined with other atoms")
@@ -227,54 +239,33 @@ def parse_element(text: str, rank: int) -> AlgebraElement:
     ts = _TokenStream(text)
     terms: dict[Monomial, Fraction] = {}
     central = Fraction(0)
-    sign = -1 if ts.accept_op("-") else 1
-    while True:
-        central_part, contrib = _parse_term(ts, rank)
+    for sign, (central_part, contrib) in _signed_terms(ts, lambda ts: _parse_term(ts, rank)):
         if central_part is not None:
             central += sign * central_part
         else:
             for key, c in contrib.items():
                 terms[key] = terms.get(key, Fraction(0)) + sign * c
-        tok = ts.peek()
-        if tok.kind == "OP" and tok.text in "+-":
-            ts.advance()
-            sign = 1 if tok.text == "+" else -1
-            continue
-        ts.expect_end()
-        break
+    ts.expect_end()
     return AlgebraElement(rank, terms, central)
 
 
 def _parse_poly_term(ts: _TokenStream) -> Poly:
-    coeff = Fraction(1)
-    explicit = False
-    if ts.peek().kind == "INT":
-        coeff = _parse_rational(ts)
-        explicit = True
-        ts.accept_op("*")
+    coeff = _parse_coefficient(ts)
     exponent = 0
     tok = ts.peek()
     if tok.kind == "NAME" and tok.text == "a":
         ts.advance()
         exponent = _parse_exponent(ts, "a", allow_negative=False)
-    elif not explicit:
+    elif coeff is None:
         ts.error("expected a coefficient or 'a'")
-    coeffs = [Fraction(0)] * exponent + [coeff]
-    return Poly(coeffs)
+    return Poly([0] * exponent + [Fraction(1) if coeff is None else coeff])
 
 
 def _parse_poly_sum(ts: _TokenStream) -> Poly:
     total = Poly(())
-    sign = -1 if ts.accept_op("-") else 1
-    while True:
-        part = _parse_poly_term(ts)
+    for sign, part in _signed_terms(ts, _parse_poly_term):
         total = total + (part if sign == 1 else -part)
-        tok = ts.peek()
-        if tok.kind == "OP" and tok.text in "+-":
-            ts.advance()
-            sign = 1 if tok.text == "+" else -1
-            continue
-        return total
+    return total
 
 
 def _parse_poly_coefficient(ts: _TokenStream) -> Poly | None:
@@ -320,27 +311,25 @@ def _parse_vector_slot(ts: _TokenStream, params: ModuleParams) -> tuple[int, int
     return k, r, s
 
 
+def _parse_vector_term(ts: _TokenStream, params: ModuleParams):
+    """One vterm as (slot, coefficient), or None for a zero without a slot."""
+    coeff = _parse_poly_coefficient(ts)
+    # A zero coefficient may stand without a slot: the zero vector prints as 0.
+    if coeff == 0 and ts.peek().kind != "NAME":
+        return None
+    return _parse_vector_slot(ts, params), _POLY_ONE if coeff is None else coeff
+
+
 def parse_module_vector(text: str, params: ModuleParams) -> ModuleVector:
     """Parse a module-vector expression against the given parameters."""
     ts = _TokenStream(text)
     entries: dict[tuple[int, int, int], Poly] = {}
-    sign = -1 if ts.accept_op("-") else 1
     zero = Poly(())
-    while True:
-        coeff = _parse_poly_coefficient(ts)
-        # A zero coefficient may stand without a slot: the zero vector prints as 0.
-        if coeff != 0 or ts.peek().kind == "NAME":
-            if coeff is None:
-                coeff = _POLY_ONE
-            key = _parse_vector_slot(ts, params)
+    for sign, term in _signed_terms(ts, lambda ts: _parse_vector_term(ts, params)):
+        if term is not None:
+            key, coeff = term
             entries[key] = entries.get(key, zero) + sign * coeff
-        tok = ts.peek()
-        if tok.kind == "OP" and tok.text in "+-":
-            ts.advance()
-            sign = 1 if tok.text == "+" else -1
-            continue
-        ts.expect_end()
-        break
+    ts.expect_end()
     return ModuleVector(params, entries)
 
 
@@ -374,14 +363,14 @@ def _join_signed(pieces: list[tuple[int, str]]) -> str:
     return "".join(out)
 
 
-def _signed_piece(coeff: Fraction, body: str) -> tuple[int, str]:
+def _signed_piece(coeff: Fraction, body: str, sep: str = " ") -> tuple[int, str]:
     mag = abs(coeff)
     if not body:
         text = str(mag)
     elif mag == 1:
         text = body
     else:
-        text = f"{mag} {body}"
+        text = f"{mag}{sep}{body}"
     return (1 if coeff > 0 else -1, text)
 
 
@@ -409,36 +398,25 @@ def format_falling_element(f: FallingElement) -> str:
     return _format_opsum(f, "FD")
 
 
+def _poly_pieces(p: Poly) -> list[tuple[int, str]]:
+    """The signed pieces c a^e of p, highest power first."""
+    return [
+        _signed_piece(c, "" if e == 0 else "a" if e == 1 else f"a^{e}", sep="")
+        for e, c in reversed(list(enumerate(p.coeffs)))
+        if c
+    ]
+
+
 def format_poly(p: Poly) -> str:
-    if not p:
-        return "0"
-    pieces: list[tuple[int, str]] = []
-    for e in range(p.degree, -1, -1):
-        c = p.coeffs[e]
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            power = "a" if e == 1 else f"a^{e}"
-            body = power if mag == 1 else f"{mag}{power}"
-        pieces.append((1 if c > 0 else -1, body))
-    return _join_signed(pieces)
+    return _join_signed(_poly_pieces(p))
 
 
 def _poly_coefficient_piece(p: Poly) -> tuple[int, str]:
-    nonzero = [(e, c) for e, c in enumerate(p.coeffs) if c]
-    if len(nonzero) == 1:
-        e, c = nonzero[0]
-        mag = abs(c)
-        if e == 0:
-            text = "" if mag == 1 else str(mag)
-        else:
-            power = "a" if e == 1 else f"a^{e}"
-            text = power if mag == 1 else f"{mag}{power}"
-        return (1 if c > 0 else -1, text)
-    return (1, f"({format_poly(p)})")
+    pieces = _poly_pieces(p)
+    if len(pieces) != 1:
+        return (1, f"({_join_signed(pieces)})")
+    sign, text = pieces[0]
+    return (sign, "" if text == "1" else text)  # a unit constant: the slot alone
 
 
 def format_module_vector(v: ModuleVector) -> str:

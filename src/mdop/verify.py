@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Iterator
@@ -88,20 +88,11 @@ class Report:
             if include_timing:
                 row["elapsed_s"] = round(r.elapsed, 6)
             checks.append(row)
-        cfg = self.config
-        return {
-            "passed": self.passed,
-            "config": {
-                "ranks": list(cfg.ranks),
-                "i_bound": cfg.i_bound,
-                "j_bound": cfg.j_bound,
-                "m_values": list(cfg.m_values),
-                "samples": cfg.samples,
-                "seed": cfg.seed,
-                "checks": None if cfg.checks is None else list(cfg.checks),
-            },
-            "checks": checks,
-        }
+        config = {}
+        for f in fields(SuiteConfig):
+            value = getattr(self.config, f.name)
+            config[f.name] = list(value) if isinstance(value, tuple) else value
+        return {"passed": self.passed, "config": config, "checks": checks}
 
     def to_text(self) -> str:
         lines = []
@@ -207,93 +198,79 @@ def available_checks() -> tuple[str, ...]:
     return tuple(sorted(_CHECKS))
 
 
-def _fmt(e) -> str:
-    if isinstance(e, FallingElement):
-        return expr.format_falling_element(e)
-    if isinstance(e, AlgebraElement):
-        return expr.format_element(e)
-    return expr.format_module_vector(e)
+def _witness(head: str, **named) -> str:
+    """A counterexample: the head, then each named input in the CLI grammar."""
+    parts = [head]
+    for name, value in named.items():
+        if isinstance(value, FallingElement):
+            value = expr.format_falling_element(value)
+        elif isinstance(value, AlgebraElement):
+            value = expr.format_element(value)
+        else:
+            value = expr.format_module_vector(value)
+        parts.append(f"{name} = {value}")
+    return "; ".join(parts)
 
 
-@_check("antisymmetry")
-def _check_antisymmetry(cfg, rng):
-    for n in cfg.ranks:
-        for _ in range(cfg.samples):
-            a = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            b = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            bad = algebra.central_bracket(a, b) != -algebra.central_bracket(b, a)
-            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}" if bad else None
+def _identity(name: str, arity: int, fails, allow_central=False, cls=AlgebraElement):
+    """Register a check that draws arity elements per rank and sample and
+    fails on the sample when fails(*elements) is true."""
+
+    def check(cfg, rng):
+        for n in cfg.ranks:
+            for _ in range(cfg.samples):
+                xs = [
+                    sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central, cls)
+                    for _ in range(arity)
+                ]
+                yield _witness(f"n={n}", **dict(zip("abc", xs))) if fails(*xs) else None
+
+    _CHECKS[name] = check
 
 
-@_check("jacobi_plain")
-def _check_jacobi_plain(cfg, rng):
-    for n in cfg.ranks:
-        for _ in range(cfg.samples):
-            a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            b = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            c = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            total = (
-                algebra.plain_bracket(a, algebra.plain_bracket(b, c))
-                + algebra.plain_bracket(b, algebra.plain_bracket(c, a))
-                + algebra.plain_bracket(c, algebra.plain_bracket(a, b))
-            )
-            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}" if total else None
+def _cyclic(term):
+    """fails(a, b, c): term summed over the cyclic permutations is nonzero."""
+    return lambda a, b, c: bool(term(a, b, c) + term(b, c, a) + term(c, a, b))
 
 
-@_check("jacobi_central")
-def _check_jacobi_central(cfg, rng):
-    for n in cfg.ranks:
-        for _ in range(cfg.samples):
-            a = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            b = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            c = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            total = (
-                algebra.central_bracket(a, algebra.central_bracket(b, c))
-                + algebra.central_bracket(b, algebra.central_bracket(c, a))
-                + algebra.central_bracket(c, algebra.central_bracket(a, b))
-            )
-            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}" if total else None
-
-
-@_check("cocycle_identity")
-def _check_cocycle_identity(cfg, rng):
-    for n in cfg.ranks:
-        for _ in range(cfg.samples):
-            a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            b = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            c = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            total = (
-                algebra.cocycle_psi(algebra.plain_bracket(a, b), c)
-                + algebra.cocycle_psi(algebra.plain_bracket(b, c), a)
-                + algebra.cocycle_psi(algebra.plain_bracket(c, a), b)
-            )
-            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}" if total else None
-
-
-@_check("associativity")
-def _check_associativity(cfg, rng):
-    for n in cfg.ranks:
-        for _ in range(cfg.samples):
-            a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            b = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            c = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            left = algebra.canonical_product(algebra.canonical_product(a, b), c)
-            right = algebra.canonical_product(a, algebra.canonical_product(b, c))
-            bad = left != right
-            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}; c = {_fmt(c)}" if bad else None
-
-
-@_check("falling_agreement")
-def _check_falling_agreement(cfg, rng):
-    for n in cfg.ranks:
-        for _ in range(cfg.samples):
-            fa = sample_falling_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            fb = sample_falling_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-            direct = algebra.bracket_falling_direct(fa, fb)
-            via = algebra.to_falling(
-                algebra.central_bracket(algebra.from_falling(fa), algebra.from_falling(fb))
-            )
-            yield f"n={n}; a = {_fmt(fa)}; b = {_fmt(fb)}" if direct != via else None
+_identity(
+    "antisymmetry", 2,
+    lambda a, b: algebra.central_bracket(a, b) != -algebra.central_bracket(b, a),
+    allow_central=True,
+)
+_identity(
+    "jacobi_plain", 3,
+    _cyclic(lambda a, b, c: algebra.plain_bracket(a, algebra.plain_bracket(b, c))),
+)
+_identity(
+    "jacobi_central", 3,
+    _cyclic(lambda a, b, c: algebra.central_bracket(a, algebra.central_bracket(b, c))),
+    allow_central=True,
+)
+_identity(
+    "cocycle_identity", 3,
+    _cyclic(lambda a, b, c: algebra.cocycle_psi(algebra.plain_bracket(a, b), c)),
+)
+_identity(
+    "associativity", 3,
+    lambda a, b, c: algebra.canonical_product(algebra.canonical_product(a, b), c)
+    != algebra.canonical_product(a, algebra.canonical_product(b, c)),
+)
+_identity(
+    "falling_agreement", 2,
+    lambda a, b: algebra.bracket_falling_direct(a, b)
+    != algebra.to_falling(
+        algebra.central_bracket(algebra.from_falling(a), algebra.from_falling(b))
+    ),
+    allow_central=True,
+    cls=FallingElement,
+)
+_identity(
+    "sigma_bracket", 2,
+    lambda a, b: algebra.sigma(algebra.plain_bracket(a, b))
+    != algebra.plain_bracket(algebra.sigma(a), algebra.sigma(b)),
+)
+_identity("sigma_involution", 1, lambda a: algebra.sigma(algebra.sigma(a)) != a)
 
 
 @_check("grading_additivity")
@@ -307,26 +284,7 @@ def _check_grading_additivity(cfg, rng):
             expected = algebra.degree(ma, n) + algebra.degree(mb, n)
             comps = algebra.homogeneous_components(algebra.central_bracket(a, b))
             bad = any(d != expected for d in comps)
-            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}" if bad else None
-
-
-@_check("sigma_bracket")
-def _check_sigma_bracket(cfg, rng):
-    for n in cfg.ranks:
-        for _ in range(cfg.samples):
-            a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            b = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            lhs = algebra.sigma(algebra.plain_bracket(a, b))
-            rhs = algebra.plain_bracket(algebra.sigma(a), algebra.sigma(b))
-            yield f"n={n}; a = {_fmt(a)}; b = {_fmt(b)}" if lhs != rhs else None
-
-
-@_check("sigma_involution")
-def _check_sigma_involution(cfg, rng):
-    for n in cfg.ranks:
-        for _ in range(cfg.samples):
-            a = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            yield f"n={n}; a = {_fmt(a)}" if algebra.sigma(algebra.sigma(a)) != a else None
+            yield _witness(f"n={n}", a=a, b=b) if bad else None
 
 
 @_check("sigma_identity_sign")
@@ -349,7 +307,7 @@ def _check_twist_action(cfg, rng):
             lhs = reps.act(x, vb)
             rhs = reps.act(algebra.sigma(x), v)
             bad = lhs.entries != rhs.entries
-            yield f"n={n}; x = {_fmt(x)}; v = {_fmt(vb)}" if bad else None
+            yield _witness(f"n={n}", x=x, v=vb) if bad else None
 
 
 def _module_axiom(cfg, rng, family):
@@ -362,10 +320,8 @@ def _module_axiom(cfg, rng, family):
                 v = sample_module_vector(rng, params, cfg.i_bound)
                 lhs = reps.act(algebra.central_bracket(x, y), v)
                 rhs = reps.act(x, reps.act(y, v)) - reps.act(y, reps.act(x, v))
-                yield (
-                    f"n={n} family={family.value} m={m}; "
-                    f"x = {_fmt(x)}; y = {_fmt(y)}; v = {_fmt(v)}"
-                ) if lhs != rhs else None
+                head = f"n={n} family={family.value} m={m}"
+                yield _witness(head, x=x, y=y, v=v) if lhs != rhs else None
 
 
 @_check("module_axiom_V")
@@ -389,7 +345,7 @@ def _check_pairing_contravariance(cfg, rng):
             v = sample_module_vector(rng, params_v, cfg.i_bound)
             lhs = reps.pairing(reps.act(x, w), v)
             rhs = -reps.pairing(w, reps.act(x, v))
-            yield f"n={n}; x = {_fmt(x)}; w = {_fmt(w)}; v = {_fmt(v)}" if lhs != rhs else None
+            yield _witness(f"n={n}", x=x, w=w, v=v) if lhs != rhs else None
 
 
 @_check("matrix_unit_bracket")
@@ -470,10 +426,8 @@ def _check_module_grading(cfg, rng):
                         reps.grade_index(params, k2, r2) != base + shift
                         for (k2, r2, _s2) in image.entries
                     )
-                    yield (
-                        f"n={n} family={family.value} m={m}; "
-                        f"x = {_fmt(x)}; v = {_fmt(v)}"
-                    ) if bad else None
+                    head = f"n={n} family={family.value} m={m}"
+                    yield _witness(head, x=x, v=v) if bad else None
 
 
 @_check("no_hw_lw")
@@ -483,30 +437,25 @@ def _check_no_hw_lw(cfg, rng):
     # negative grade must act nonzero on every homogeneous vector.
     for n in cfg.ranks:
         params = ModuleParams.formal(Family.V, n)
-        gens = [
-            AlgebraElement.term(n, i, j, p, q)
+        monos = [
+            Monomial(i, j, p, q)
             for i in range(-_EXTREMAL_I_BOUND, _EXTREMAL_I_BOUND + 1)
             for j in range(_EXTREMAL_J_BOUND + 1)
             for p in range(1, n + 1)
             for q in range(1, n + 1)
         ]
-        positive = [g for g in gens if _generator_grade(g, n) > 0]
-        negative = [g for g in gens if _generator_grade(g, n) < 0]
+        positive = [AlgebraElement.term(n, *g) for g in monos if algebra.degree(g, n) > 0]
+        negative = [AlgebraElement.term(n, *g) for g in monos if algebra.degree(g, n) < 0]
         for _ in range(cfg.samples):
             k = rng.randint(-cfg.i_bound, cfg.i_bound)
             r = rng.randint(1, n)
             v = ModuleVector(params, {(k, r, 1): Poly((_sample_coeff(rng),))})
             if not any(reps.act(g, v) for g in positive):
-                yield f"n={n}; v = {_fmt(v)}; annihilated by the positive box"
+                yield _witness(f"n={n}", v=v) + "; annihilated by the positive box"
             elif not any(reps.act(g, v) for g in negative):
-                yield f"n={n}; v = {_fmt(v)}; annihilated by the negative box"
+                yield _witness(f"n={n}", v=v) + "; annihilated by the negative box"
             else:
                 yield None
-
-
-def _generator_grade(g: AlgebraElement, n: int) -> int:
-    mono = next(iter(g.terms))
-    return algebra.degree(mono, n)
 
 
 # ---------------------------------------------------------------------------

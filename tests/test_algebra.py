@@ -352,6 +352,22 @@ class TestElementBasics:
         with pytest.raises(DimensionError):
             AlgebraElement(1, {Monomial(0, 0, 1, 2): 1})
 
+    @pytest.mark.parametrize("cls", (AlgebraElement, FallingElement))
+    @pytest.mark.parametrize("bad", (0.1, 0.5, "1/3"))
+    def test_inexact_scalars_refused(self, cls, bad):
+        with pytest.raises(TypeError):
+            cls(1, {Monomial(0, 0, 1, 1): bad})
+        with pytest.raises(TypeError):
+            cls(1, {}, central=bad)
+
+    @pytest.mark.parametrize("cls", (AlgebraElement, FallingElement))
+    def test_int_and_fraction_scalars_accepted(self, cls):
+        e = cls(1, {Monomial(0, 0, 1, 1): 2, Monomial(1, 0, 1, 1): Fraction(1, 3)}, central=-1)
+        assert e.terms == {Monomial(0, 0, 1, 1): 2, Monomial(1, 0, 1, 1): Fraction(1, 3)}
+        assert all(type(c) is Fraction for c in e.terms.values())
+        assert e.central == -1 and type(e.central) is Fraction
+        assert cls(1, {}, central=Fraction(1, 3)).central == Fraction(1, 3)
+
     def test_power_and_falling_elements_never_equal(self):
         a = AlgebraElement.term(1, 0, 1, 1, 1)
         f = FallingElement.term(1, 0, 1, 1, 1)

@@ -2,18 +2,22 @@
 
 bench/ is not part of the test suite, so a change could remove a name it
 calls and still pass.  These tests read every mdop name bench/*.py refers
-to and call the kernel in the shapes the harness uses.
+to, call the kernel in the shapes the harness uses, and run the CLI
+workload's call schedule in-process through the harness's own checker.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import random
+import subprocess
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mdop import algebra, exact, reps, verify
+from mdop import algebra, cli, exact, reps, verify
 from mdop.algebra import AlgebraElement, FallingElement, Monomial
 from mdop.exact import Poly
 from mdop.reps import Family, ModuleParams, ModuleVector
@@ -140,3 +144,22 @@ def test_module_calls_accept_harness_arguments():
     x = verify.sample_element(rng, 2, 3, 3)
     image = reps.act(x, verify.sample_module_vector(rng, ModuleParams.formal(Family.V, 2, 2), 3))
     assert all(isinstance(c, Poly) for c in image.entries.values())
+
+
+def test_cli_schedule_passes_the_harness_checks(monkeypatch):
+    # Two seeds of three passes: every subcommand in text and JSON, the
+    # malformed inputs and one high-exponent convert per pass.
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its siblings by name
+    workloads = importlib.import_module("workloads")
+    tally = workloads.Tally()
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        for pass_index in range(3):
+            for call in workloads.cli_schedule(rng, pass_index):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(list(call.argv))
+                proc = subprocess.CompletedProcess(call.argv, code, out.getvalue(), err.getvalue())
+                workloads.check_cli(call, proc, tally)
+    assert tally.attempted == 120
+    assert tally.failed == 0, tally.notes

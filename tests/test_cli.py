@@ -160,6 +160,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown check" in err
 
+    def test_empty_check_list_is_usage_error(self, capsys):
+        for names in ("", ",", " , "):
+            code, out, err = run_cli(capsys, "verify", "--checks", names)
+            assert (code, out) == (2, "")
+            assert "expected at least one check name" in err
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         import mdop.algebra as algebra_module
 

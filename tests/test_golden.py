@@ -5,10 +5,12 @@ exit code, stdout and stderr each one produced when the corpus was
 captured: every subcommand in text and JSON, 10-30-term operands with
 2-digit rationals, --lambda specialisations, and refused input.
 tests/golden/verify_default.json holds the default `verify --format json`
-report with the timing fields removed.  Any change to these bytes is a
-change of the output format and must be deliberate; such a change is
-recorded by writing run(argv) of each case, and default_verify_report(),
-back into the files.
+report with the timing fields removed.  tests/golden/cli_help.json holds
+the --help text of the top-level parser and of every subcommand at
+COLUMNS=80.  Any change to these bytes is a change of the output format
+and must be deliberate; such a change is recorded by writing run(argv) of
+each case, default_verify_report() and help_text(command) back into the
+files.
 """
 
 import contextlib
@@ -24,6 +26,10 @@ from mdop.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "cli_corpus.json"
 VERIFY_DEFAULT = GOLDEN / "verify_default.json"
+HELP = GOLDEN / "cli_help.json"
+HELP_COMMANDS = (
+    "", "bracket", "product", "cocycle", "sigma", "degree", "convert", "act", "pair", "verify",
+)
 
 
 def _strip_timing(argv: list[str], stdout: str) -> str:
@@ -49,6 +55,13 @@ def default_verify_report() -> str:
     return run(["verify", "--format", "json"])[1]
 
 
+def help_text(command: str) -> str:
+    """The --help output of the top-level parser ("") or of one subcommand."""
+    code, stdout, stderr = run([command, "--help"] if command else ["--help"])
+    assert (code, stderr) == (0, "")
+    return stdout
+
+
 _CASES = json.loads(CORPUS.read_text())
 
 
@@ -59,3 +72,9 @@ def test_cli_corpus(case):
 
 def test_default_verify_report():
     assert default_verify_report() == VERIFY_DEFAULT.read_text()
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS, ids=[c or "mdop" for c in HELP_COMMANDS])
+def test_help_text(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_text(command) == json.loads(HELP.read_text())[command]
