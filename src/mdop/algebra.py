@@ -11,22 +11,26 @@ multiple of the central generator C.  Two bases are supported:
 
 All operations are pure and exact.  Coefficients are Fractions on the
 elements; each operation clears their denominators once (_to_ints), runs
-its inner loops on integers, and builds one Fraction per nonzero output
-coefficient (_from_ints).
+its inner loops on integers under plain tuple keys, and builds one
+Monomial and one Fraction per nonzero output coefficient (_from_ints).
+Products and the cocycle visit only the pairs of words whose matrix slots
+match, and a product adds the contributions of a pair into one row
+(i, p, q) of numerators indexed by the D power (_product_rows).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .exact import (
     CACHE_SIZE,
     DimensionError,
     _as_fraction,
-    falling_factorial,
     falling_to_power_coeffs,
     gen_binomial,
     power_to_falling_coeffs,
@@ -41,9 +45,22 @@ def _to_ints(terms: Mapping) -> tuple[dict, int]:
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
-def _from_ints(nums: Mapping, den: int) -> dict:
-    """The Fractions nums[m] / den, zero coefficients dropped."""
-    return {m: Fraction(n, den) for m, n in nums.items() if n}
+def _from_ints(cells, den: int) -> dict:
+    """Monomial -> Fraction(n, den) for each ((i, j, p, q), n) of cells with n != 0."""
+    new = tuple.__new__
+    return {new(Monomial, key): Fraction(n, den) for key, n in cells if n}
+
+
+def _product_rows(na: Mapping, nb: Mapping) -> defaultdict:
+    # Accumulator for products of the words of na and nb: (i, p, q) -> integer
+    # numerators indexed by the D power, up to the sum of their highest powers.
+    width = max(map(itemgetter(1), na), default=0) + max(map(itemgetter(1), nb), default=0) + 1
+    return defaultdict(lambda: [0] * width)
+
+
+def _cells(rows: Mapping):
+    # The nonzero ((i, j, p, q), n) of product rows.
+    return (((i, j, p, q), n) for (i, p, q), row in rows.items() for j, n in enumerate(row) if n)
 
 
 class Monomial(NamedTuple):
@@ -145,7 +162,7 @@ class _OperatorSum:
         for m, c in nb.items():
             out[m] = out.get(m, 0) + c * fb
         return type(self)._raw(
-            self.rank, _from_ints(out, da * fa), self.central + sign * other.central
+            self.rank, _from_ints(out.items(), da * fa), self.central + sign * other.central
         )
 
     def __neg__(self):
@@ -159,7 +176,7 @@ class _OperatorSum:
         top = factor.numerator
         return type(self)._raw(
             self.rank,
-            _from_ints({m: c * top for m, c in nums.items()}, den * factor.denominator),
+            _from_ints(((m, c * top) for m, c in nums.items()), den * factor.denominator),
             self.central * factor,
         )
 
@@ -198,18 +215,35 @@ def _product_expansion(j: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _add_products(out: dict, na: dict, nb: dict, sign: int) -> None:
-    # out += sign * (a b) on integer numerators, a and b given by na and nb.
-    expansion = _product_expansion
-    for ma, ca in na.items():
-        for mb, cb in nb.items():
-            if ma.q != mb.p:
-                continue
+@lru_cache(maxsize=CACHE_SIZE)
+def _falling_expansion(j: int, n: int) -> tuple[tuple[int, int], ...]:
+    # [D]_j t^n = t^n sum_s binom(j, s) [n]_s [D]_(j - s), with [n]_s updated
+    # step by step; once it is zero (0 <= n < s) every later summand is too.
+    out = []
+    w = 1  # binom(j, s) [n]_s
+    for s in range(j + 1):
+        if not w:
+            break
+        out.append((j - s, w))
+        w = w * (j - s) * (n - s) // (s + 1)
+    return tuple(out)
+
+
+def _add_products(rows: dict, na: Mapping, nb: Mapping, sign: int, falling: bool = False) -> None:
+    # rows += sign * (a b) on integer numerators.  t^i X_j E[p,q] t^k X_l E[q,q']
+    # = t^(i+k) sum_u w_u X_(u+l) E[p,q'], where X = D takes the weights of
+    # (D+k)^j and X = [D] those of _falling_expansion(j, k+l).  The words of b
+    # are indexed by their row slot, so a word of a meets only its partners.
+    partners: dict = {}
+    for (k, l, p, q), c in nb.items():
+        partners.setdefault(p, []).append((k, l, q, c))
+    expansion = _falling_expansion if falling else _product_expansion
+    for (i, j, p, q), ca in na.items():
+        for k, l, q2, cb in partners.get(q, ()):
             c = sign * ca * cb
-            i = ma.i + mb.i
-            for jexp, w in expansion(ma.j, mb.i):
-                key = Monomial(i, jexp + mb.j, ma.p, mb.q)
-                out[key] = out.get(key, 0) + c * w
+            row = rows[i + k, p, q2]
+            for u, w in expansion(j, k + l if falling else k):
+                row[u + l] += c * w
 
 
 def canonical_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -222,9 +256,9 @@ def canonical_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _check_pair(a, b, AlgebraElement)
     na, da = _to_ints(a.terms)
     nb, db = _to_ints(b.terms)
-    out: dict[Monomial, int] = {}
-    _add_products(out, na, nb, 1)
-    return AlgebraElement._raw(a.rank, _from_ints(out, da * db), _ZERO)
+    rows = _product_rows(na, nb)
+    _add_products(rows, na, nb, 1)
+    return AlgebraElement._raw(a.rank, _from_ints(_cells(rows), da * db), _ZERO)
 
 
 def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -232,20 +266,20 @@ def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _check_pair(a, b, AlgebraElement)
     na, da = _to_ints(a.terms)
     nb, db = _to_ints(b.terms)
-    out: dict[Monomial, int] = {}
-    _add_products(out, na, nb, 1)
-    _add_products(out, nb, na, -1)
-    return AlgebraElement._raw(a.rank, _from_ints(out, da * db), _ZERO)
+    rows = _product_rows(na, nb)
+    _add_products(rows, na, nb, 1)
+    _add_products(rows, nb, na, -1)
+    return AlgebraElement._raw(a.rank, _from_ints(_cells(rows), da * db), _ZERO)
 
 
 def _change_basis(terms: Mapping, table) -> tuple[dict, int]:
-    # Integer numerators of sum c t^i X_j E[p,q] with X_j = sum_s table(j)[s] Y_s.
+    # Integer numerators of sum c t^i X_j E[p,q], X_j = sum_s table(j)[s] Y_s.
     nums, den = _to_ints(terms)
-    out: dict[Monomial, int] = {}
-    for mono, c in nums.items():
-        for s, w in enumerate(table(mono.j)):
+    out: dict = {}
+    for (i, j, p, q), c in nums.items():
+        for s, w in enumerate(table(j)):
             if w:
-                key = Monomial(mono.i, s, mono.p, mono.q)
+                key = (i, s, p, q)
                 out[key] = out.get(key, 0) + c * w
     return out, den
 
@@ -255,7 +289,7 @@ def to_falling(a: AlgebraElement) -> FallingElement:
     if not isinstance(a, AlgebraElement):
         raise TypeError("expected an AlgebraElement")
     out, den = _change_basis(a.terms, power_to_falling_coeffs)
-    return FallingElement._raw(a.rank, _from_ints(out, den), a.central)
+    return FallingElement._raw(a.rank, _from_ints(out.items(), den), a.central)
 
 
 def from_falling(f: FallingElement) -> AlgebraElement:
@@ -263,7 +297,7 @@ def from_falling(f: FallingElement) -> AlgebraElement:
     if not isinstance(f, FallingElement):
         raise TypeError("expected a FallingElement")
     out, den = _change_basis(f.terms, falling_to_power_coeffs)
-    return AlgebraElement._raw(f.rank, _from_ints(out, den), f.central)
+    return AlgebraElement._raw(f.rank, _from_ints(out.items(), den), f.central)
 
 
 def _psi_parity(j: int) -> int:
@@ -271,42 +305,44 @@ def _psi_parity(j: int) -> int:
     return -1 if j % 2 else 1
 
 
-def _psi_falling_pair(ma: Monomial, mb: Monomial) -> int:
-    """Cocycle value on a pair of falling-basis words.
+def _psi_weight(i: int, j: int, l: int) -> int:
+    """Cocycle value on a matching pair of falling-basis words.
 
-    psi(t^i [D]_j E[p,q], t^k [D]_l E[p',q']) is nonzero only for i = -k,
-    q = p', p = q' (the trace pairing of the matrix units) and then equals
+    psi(t^i [D]_j E[p,q], t^k [D]_l E[p',q']) is nonzero only for k = -i,
+    p' = q, q' = p (the trace pairing of the matrix units) and then equals
     (-1)^j j! l! binom(i+j, j+l+1).
     """
-    if ma.i != -mb.i or ma.q != mb.p or ma.p != mb.q:
-        return 0
-    j, l = ma.j, mb.j
-    return (
-        _psi_parity(j)
-        * math.factorial(j)
-        * math.factorial(l)
-        * gen_binomial(ma.i + j, j + l + 1)
-    )
+    b = gen_binomial(i + j, j + l + 1)
+    return b and _psi_parity(j) * math.factorial(j) * math.factorial(l) * b
+
+
+def _psi_total(cells_a, cells_b) -> int:
+    # Sum of ca cb psi over pairs of falling words, each given as ((i, j, p, q), c).
+    # The words of b are indexed by (k, p', q'), so a word of a meets only
+    # its partners (-i, q, p).
+    partners: dict = {}
+    for (k, l, p, q), c in cells_b:
+        partners.setdefault((k, p, q), []).append((l, c))
+    total = 0
+    for (i, j, p, q), ca in cells_a:
+        for l, cb in partners.get((-i, q, p), ()):
+            w = _psi_weight(i, j, l)
+            if w:
+                total += ca * cb * w
+    return total
 
 
 def cocycle_psi(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     """The defining 2-cocycle of the central extension.
 
     Both arguments are rewritten into the falling basis, where the cocycle
-    acts on basis pairs through _psi_falling_pair; central parts of the
+    acts on matching basis pairs through _psi_weight; central parts of the
     inputs contribute nothing.
     """
     _check_pair(a, b, AlgebraElement)
     fa, da = _change_basis(a.terms, power_to_falling_coeffs)
     fb, db = _change_basis(b.terms, power_to_falling_coeffs)
-    total = 0
-    for ma, ca in fa.items():
-        if ca:
-            for mb, cb in fb.items():
-                w = _psi_falling_pair(ma, mb)
-                if w:
-                    total += ca * cb * w
-    return Fraction(total, da * db)
+    return Fraction(_psi_total(fa.items(), fb.items()), da * db)
 
 
 def central_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -330,29 +366,12 @@ def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingEleme
     _check_pair(a, b, FallingElement)
     na, da = _to_ints(a.terms)
     nb, db = _to_ints(b.terms)
-    out: dict[Monomial, int] = {}
-    central = 0
-    for ma, ca in na.items():
-        for mb, cb in nb.items():
-            c = ca * cb
-            i, j, k, l = ma.i, ma.j, mb.i, mb.j
-            if ma.q == mb.p:
-                for s in range(j + 1):
-                    w = math.comb(j, s) * falling_factorial(k + l, s)
-                    if w:
-                        key = Monomial(i + k, j + l - s, ma.p, mb.q)
-                        out[key] = out.get(key, 0) + c * w
-            if mb.q == ma.p:
-                for s in range(l + 1):
-                    w = math.comb(l, s) * falling_factorial(i + j, s)
-                    if w:
-                        key = Monomial(i + k, j + l - s, mb.p, ma.q)
-                        out[key] = out.get(key, 0) - c * w
-            psi = _psi_falling_pair(ma, mb)
-            if psi:
-                central += c * psi
+    rows = _product_rows(na, nb)
+    _add_products(rows, na, nb, 1, falling=True)
+    _add_products(rows, nb, na, -1, falling=True)
     den = da * db
-    return FallingElement._raw(a.rank, _from_ints(out, den), Fraction(central, den))
+    central = Fraction(_psi_total(na.items(), nb.items()), den)
+    return FallingElement._raw(a.rank, _from_ints(_cells(rows), den), central)
 
 
 def homogeneous_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
@@ -385,13 +404,13 @@ def sigma(a: AlgebraElement) -> AlgebraElement:
     if a.central:
         raise ValueError("sigma is defined on central-free elements only")
     nums, den = _to_ints(a.terms)
-    out: dict[Monomial, int] = {}
-    for mono, c in nums.items():
-        scale = c * _sigma_sign(mono.j)
-        for jexp, w in _product_expansion(mono.j, mono.i):
-            key = Monomial(mono.i, jexp, mono.q, mono.p)
+    out: dict = {}
+    for (i, j, p, q), c in nums.items():
+        scale = c * _sigma_sign(j)
+        for u, w in _product_expansion(j, i):
+            key = (i, u, q, p)
             out[key] = out.get(key, 0) + scale * w
-    return AlgebraElement._raw(a.rank, _from_ints(out, den), _ZERO)
+    return AlgebraElement._raw(a.rank, _from_ints(out.items(), den), _ZERO)
 
 
 def embed_scalar(i: int, j: int, rank: int) -> AlgebraElement:

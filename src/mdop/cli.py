@@ -4,7 +4,8 @@ One subcommand per kernel operation plus the suite runner.  The five that
 apply a single algebra function come from one table, and every result is
 written as text or JSON by one renderer.  Exit codes:
 0 on success, 1 when a verify run reports any failing check, 2 on parse
-or usage errors.  All diagnostics go to stderr.
+or usage errors.  All diagnostics go to stderr; each refusal is one line
+`error: <message>`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ from . import algebra, expr, reps, verify
 from .algebra import AlgebraElement, FallingElement
 from .exact import Poly
 from .reps import Family, ModuleParams, ModuleVector
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are one line: exit 2 with `error: <message>`."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -73,11 +81,11 @@ _ELEMENT_COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mdop",
         description="Exact computations with matrix differential operators on the circle.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     for name, (help_text, arity, op) in _ELEMENT_COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
@@ -163,6 +171,8 @@ def _render(value) -> tuple[object, str]:
         return {"components": rows}, text or "0"
     if isinstance(value, verify.Report):
         return value.to_json(), value.to_text()
+    if isinstance(value, list):  # verify --list-checks
+        return value, "\n".join(value)
     return {"value": str(value)}, str(value)  # a cocycle value
 
 
@@ -196,9 +206,7 @@ def _cmd_pair(args) -> Poly:
 
 def _cmd_verify(args):
     if args.list_checks:
-        for name in verify.available_checks():
-            print(name)
-        return None
+        return list(verify.available_checks())
     config = verify.SuiteConfig(
         ranks=args.n,
         i_bound=args.i_bound,
@@ -220,8 +228,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         value = args.func(args)
-        if value is None:  # verify --list-checks has printed the names
-            return 0
         as_json, text = _render(value)
     except ValueError as exc:  # ParseError and DimensionError included
         print(f"error: {exc}", file=sys.stderr)

@@ -48,10 +48,10 @@ def gen_binomial(top: int, s: int) -> int:
     """
     if s < 0:
         return 0
-    num = 1
-    for u in range(s):
-        num *= top - u
-    return num // math.factorial(s)
+    if top >= 0:
+        return math.comb(top, s)
+    # binom(top, s) = (-1)^s binom(s - top - 1, s) for negative top
+    return -math.comb(s - top - 1, s) if s % 2 else math.comb(s - top - 1, s)
 
 
 def falling_factorial(x, j: int):

@@ -32,6 +32,11 @@ from .reps import Family, ModuleParams, ModuleVector
 
 _POLY_ONE = Poly.const(1)
 
+# The highest power of D one term may carry, D and FD atoms counted
+# together.  The cost of a product, bracket or basis change grows with it;
+# README "Resource limits" gives the measured cost of calls at the limit.
+MAX_D_POWER = 1200
+
 
 class ParseError(ValueError):
     """Syntax or range error in a surface expression."""
@@ -210,6 +215,8 @@ def _parse_term(ts: _TokenStream, rank: int):
             raise ParseError(
                 f"unknown atom {name!r} (atoms are t, D, FD, E[p,q], C)", pos
             )
+        if j_power + (j_falling or 0) > MAX_D_POWER:
+            raise ParseError(f"D power of a term above the limit {MAX_D_POWER}", pos)
         saw_atom = True
         ts.accept_op("*")
     if coeff is None:

@@ -1,0 +1,219 @@
+"""The element operations against per-term references on Fractions.
+
+Each reference visits every pair of words and adds one contribution at a
+time, with the binomials and falling powers written out here; the kernel
+instead accumulates integer numerators by row and visits only matching
+pairs.  Both must give the same elements, down to the types of the keys
+and values of .terms.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from mdop.algebra import (
+    AlgebraElement,
+    FallingElement,
+    Monomial,
+    bracket_falling_direct,
+    canonical_product,
+    central_bracket,
+    cocycle_psi,
+    from_falling,
+    plain_bracket,
+    sigma,
+    to_falling,
+)
+from mdop.exact import falling_to_power_coeffs, power_to_falling_coeffs
+
+
+def _binom(top, s):
+    num = 1
+    for u in range(s):
+        num *= top - u
+    return num // math.factorial(s)
+
+
+def _falling(x, s):
+    out = 1
+    for u in range(s):
+        out *= x - u
+    return out
+
+
+def _add(out, key, value):
+    out[key] = out.get(key, Fraction(0)) + value
+
+
+def _nonzero(out):
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_product(a, b):
+    out = {}
+    for (i, j, p, q), ca in a.terms.items():
+        for (k, l, p2, q2), cb in b.terms.items():
+            if q == p2:
+                for s in range(j + 1):  # (D + k)^j D^l
+                    _add(out, Monomial(i + k, j - s + l, p, q2), ca * cb * math.comb(j, s) * k**s)
+    return _nonzero(out)
+
+
+def ref_bracket(a, b):
+    out = ref_product(a, b)
+    for m, c in ref_product(b, a).items():
+        _add(out, m, -c)
+    return _nonzero(out)
+
+
+def ref_change(terms, table):
+    out = {}
+    for (i, j, p, q), c in terms.items():
+        for s, w in enumerate(table(j)):
+            _add(out, Monomial(i, s, p, q), c * w)
+    return _nonzero(out)
+
+
+def _ref_psi_pair(ma, mb):
+    if ma.i != -mb.i or ma.q != mb.p or ma.p != mb.q:
+        return 0
+    j, l = ma.j, mb.j
+    return (-1) ** j * math.factorial(j) * math.factorial(l) * _binom(ma.i + j, j + l + 1)
+
+
+def ref_psi_falling(fa, fb):
+    return sum(
+        (ca * cb * _ref_psi_pair(ma, mb) for ma, ca in fa.items() for mb, cb in fb.items()),
+        Fraction(0),
+    )
+
+
+def ref_psi(a, b):
+    return ref_psi_falling(
+        ref_change(a.terms, power_to_falling_coeffs), ref_change(b.terms, power_to_falling_coeffs)
+    )
+
+
+def ref_sigma(a):
+    out = {}
+    for (i, j, p, q), c in a.terms.items():
+        sign = 1 if j % 2 else -1
+        for s in range(j + 1):  # (D + i)^j
+            _add(out, Monomial(i, j - s, q, p), sign * c * math.comb(j, s) * i**s)
+    return _nonzero(out)
+
+
+def ref_falling_bracket(a, b):
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            i, j, k, l = ma.i, ma.j, mb.i, mb.j
+            if ma.q == mb.p:
+                for s in range(j + 1):
+                    w = math.comb(j, s) * _falling(k + l, s)
+                    _add(out, Monomial(i + k, j + l - s, ma.p, mb.q), ca * cb * w)
+            if mb.q == ma.p:
+                for s in range(l + 1):
+                    w = math.comb(l, s) * _falling(i + j, s)
+                    _add(out, Monomial(i + k, j + l - s, mb.p, ma.q), -ca * cb * w)
+    return _nonzero(out), ref_psi_falling(a.terms, b.terms)
+
+
+def _coeff(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+
+
+def _element(rng, rank, cls=AlgebraElement, size=None, i_values=range(-6, 7)):
+    terms = {}
+    for _ in range(rng.randint(0, 12) if size is None else size):
+        mono = Monomial(
+            rng.choice(i_values), rng.randint(0, 8), rng.randint(1, rank), rng.randint(1, rank)
+        )
+        terms[mono] = _coeff(rng)
+    return cls(rank, terms, rng.choice((0, _coeff(rng))))
+
+
+def _cases(cls=AlgebraElement):
+    """Operand pairs over ranks 1-3, j <= 8, |i| <= 6.
+
+    Besides random pairs: pairs of equal operands (brackets and cocycles
+    cancel to zero), operands built only of i = 0 words (every shift k is
+    0), D^2 - D against D, and the zero element.
+    """
+    rng = random.Random(20261018)
+    cases = []
+    for n in range(60):
+        rank = 1 + n % 3
+        a, b = _element(rng, rank, cls), _element(rng, rank, cls)
+        cases.append((a, b))
+        cases.append((a, a))
+        unshifted = [_element(rng, rank, cls, i_values=(0,)) for _ in range(2)]
+        cases.append(tuple(unshifted))
+    diff = cls(1, {Monomial(0, 2, 1, 1): 1, Monomial(0, 1, 1, 1): -1})
+    cases.append((diff, cls(1, {Monomial(0, 1, 1, 1): 1})))
+    cases.append((cls.zero(2), _element(rng, 2, cls, size=5)))
+    return cases
+
+
+def _assert_stored_form(element, expected_terms, expected_central=None):
+    assert element.terms == expected_terms
+    for mono, coeff in element.terms.items():
+        assert type(mono) is Monomial
+        assert type(coeff) is Fraction and coeff != 0
+    assert type(element.central) is Fraction
+    if expected_central is not None:
+        assert element.central == expected_central
+
+
+POWER_CASES = _cases()
+FALLING_CASES = _cases(FallingElement)
+
+
+def test_canonical_product():
+    for a, b in POWER_CASES:
+        _assert_stored_form(canonical_product(a, b), ref_product(a, b), 0)
+
+
+def test_plain_bracket():
+    for a, b in POWER_CASES:
+        _assert_stored_form(plain_bracket(a, b), ref_bracket(a, b), 0)
+
+
+def test_central_bracket_and_cocycle():
+    for a, b in POWER_CASES:
+        psi = ref_psi(a, b)
+        value = cocycle_psi(a, b)
+        assert type(value) is Fraction and value == psi
+        _assert_stored_form(central_bracket(a, b), ref_bracket(a, b), psi)
+
+
+def test_sigma():
+    for a, _ in POWER_CASES:
+        bare = AlgebraElement(a.rank, a.terms)
+        _assert_stored_form(sigma(bare), ref_sigma(bare), 0)
+
+
+def test_basis_changes():
+    for a, b in POWER_CASES:
+        falling = ref_change(a.terms, power_to_falling_coeffs)
+        _assert_stored_form(to_falling(a), falling, a.central)
+        f = FallingElement(b.rank, b.terms, b.central)
+        power = ref_change(f.terms, falling_to_power_coeffs)
+        _assert_stored_form(from_falling(f), power, f.central)
+
+
+def test_bracket_falling_direct():
+    for a, b in FALLING_CASES:
+        terms, psi = ref_falling_bracket(a, b)
+        _assert_stored_form(bracket_falling_direct(a, b), terms, psi)
+
+
+def test_cancelling_cases_reach_zero():
+    # D^2 - D = [D]_2; [D, D^2] = 0 has only k = 0 shifts; [a, a] = 0.
+    d2_minus_d = AlgebraElement(1, {Monomial(0, 2, 1, 1): 1, Monomial(0, 1, 1, 1): -1})
+    assert to_falling(d2_minus_d).terms == {Monomial(0, 2, 1, 1): 1}
+    d, d2 = AlgebraElement.term(1, 0, 1, 1, 1), AlgebraElement.term(1, 0, 2, 1, 1)
+    assert not central_bracket(d, d2)
+    a = _element(random.Random(3), 3, size=12)
+    assert not central_bracket(a, a)
+    assert not bracket_falling_direct(to_falling(a), to_falling(a))

@@ -2,8 +2,9 @@
 
 bench/ is not part of the test suite, so a change could remove a name it
 calls and still pass.  These tests read every mdop name bench/*.py refers
-to, call the kernel in the shapes the harness uses, and run the CLI
-workload's call schedule in-process through the harness's own checker.
+to, call the kernel in the shapes the harness uses, and run the CLI and
+kernel-large workloads' call schedules in-process through the harness's
+own checkers.
 """
 
 import ast
@@ -162,4 +163,20 @@ def test_cli_schedule_passes_the_harness_checks(monkeypatch):
                 proc = subprocess.CompletedProcess(call.argv, code, out.getvalue(), err.getvalue())
                 workloads.check_cli(call, proc, tally)
     assert tally.attempted == 120
+    assert tally.failed == 0, tally.notes
+
+
+def test_kernel_schedule_passes_the_harness_checks(monkeypatch):
+    # Seed 1, passes 0-6: every term count 10-30 at ranks 1 and 3 for each
+    # op of the mix, plus the nested bracket, checked in-process by the
+    # harness's second routes.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    tally = workloads.Tally()
+    rng = random.Random(1)
+    for pass_index in range(7):
+        for op, args in workloads.kernel_schedule(rng, pass_index):
+            out = workloads.call_kernel(op, args)
+            tally.record(workloads.check_kernel(op, args, out), f"{op} rank={args[0].rank}")
+    assert tally.attempted == 7 * 44
     assert tally.failed == 0, tally.notes

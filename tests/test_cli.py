@@ -5,7 +5,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from mdop import algebra, expr
 from mdop.cli import main
+from mdop.verify import available_checks
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +159,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "jacobi_central" in out.split()
 
+    def test_list_checks_text_is_one_name_per_line(self, capsys):
+        assert run_cli(capsys, "verify", "--list-checks", "--format", "text") == (
+            0, "\n".join(available_checks()) + "\n", ""
+        )
+
+    def test_list_checks_json_is_an_array_of_names(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--list-checks", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == list(available_checks())
+
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--checks", "nope")
         assert code == 2
@@ -195,6 +209,41 @@ class TestExitCodes:
 
     def test_usage_error_is_two(self, capsys):
         assert run_cli(capsys, "bracket", "--n", "1", "D")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--n", ""),
+            ("verify", "--format", "xml"),
+            ("verify", "--checks", ""),
+            ("bracket", "--n", "1", "D"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_d_power_above_limit_is_refused_before_kernel_work(self, capsys, monkeypatch):
+        # D^20000 once ran for minutes; the parser now refuses it before any
+        # table or product is built.
+        def reached(*args):
+            raise AssertionError("the kernel was reached")
+
+        monkeypatch.setattr(expr, "falling_to_power_coeffs", reached)
+        for name in ("canonical_product", "central_bracket", "to_falling"):
+            monkeypatch.setattr(algebra, name, reached)
+        for argv in (
+            ("product", "--n", "1", "D^20000", "t^7"),
+            ("bracket", "--n", "1", "t", "FD^20000"),
+            ("convert", "--n", "1", "--to", "falling", "D^20000"),
+            ("convert", "--n", "1", "--to", "power", "FD^20000"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: D power of a term above the limit {expr.MAX_D_POWER}")
+            assert err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

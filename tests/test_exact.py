@@ -1,10 +1,11 @@
 """Exact arithmetic: binomials, basis conversions, Jordan power bands."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from mdop.algebra import _product_expansion
+from mdop.algebra import _falling_expansion, _product_expansion
 from mdop.exact import (
     Poly,
     _jordan_power_cached,
@@ -36,6 +37,12 @@ class TestGenBinomial:
         for n in range(-6, 7):
             for s in range(1, 7):
                 assert gen_binomial(n, s) == gen_binomial(n - 1, s) + gen_binomial(n - 1, s - 1)
+
+    def test_matches_the_falling_factorial(self):
+        # binom(top, s) s! = [top]_s, on both sides of top = 0 and past s > top.
+        for top in range(-20, 21):
+            for s in range(26):
+                assert gen_binomial(top, s) * math.factorial(s) == falling_factorial(top, s)
 
     def test_results_are_reduced(self):
         value = gen_binomial(-3, 4)
@@ -154,7 +161,7 @@ class TestJordanShiftedPower:
 
 class TestCacheBounds:
     def test_kernel_caches_are_bounded(self):
-        for cached in (_jordan_power_cached, _product_expansion):
+        for cached in (_jordan_power_cached, _product_expansion, _falling_expansion):
             assert cached.cache_info().maxsize is not None
 
 

@@ -8,6 +8,7 @@ import pytest
 from mdop.algebra import AlgebraElement, FallingElement, Monomial, from_falling
 from mdop.exact import Poly
 from mdop.expr import (
+    MAX_D_POWER,
     ParseError,
     element_to_json,
     falling_element_to_json,
@@ -70,6 +71,16 @@ class TestParseElement:
     def test_negative_d_power_rejected(self):
         with pytest.raises(ParseError, match="nonnegative"):
             parse_element("D^-1", 1)
+
+    def test_d_power_limit(self):
+        # D and FD atoms of one term count together.
+        assert MAX_D_POWER >= 1200
+        top = MAX_D_POWER
+        assert parse_element(f"t D^{top}", 1) == AlgebraElement.term(1, 1, top, 1, 1)
+        for text in (f"D^{top + 1}", f"FD^{top + 1}", f"D^{top} D", f"FD^{top} D",
+                     "D^600 t D^601", "D^20000", "FD^20000"):
+            with pytest.raises(ParseError, match=f"D power of a term above the limit {top}"):
+                parse_element(text, 1)
 
     def test_central_cannot_mix(self):
         with pytest.raises(ParseError, match="cannot be combined"):
