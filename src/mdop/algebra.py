@@ -9,13 +9,13 @@ multiple of the central generator C.  Two bases are supported:
     = t^j (d/dt)^j, in which the defining 2-cocycle of the central
     extension has a closed form.
 
-All operations are pure and exact.  Coefficients are Fractions on the
-elements; each operation clears their denominators once (_to_ints), runs
-its inner loops on integers under plain tuple keys, and builds one
-Monomial and one Fraction per nonzero output coefficient (_from_ints).
-Products and the cocycle visit only the pairs of words whose matrix slots
-match, and a product adds the contributions of a pair into one row
-(i, p, q) of numerators indexed by the D power (_product_rows).
+All operations are pure and exact.  An element stores integer numerators
+under plain tuple keys (i, j, p, q) over one denominator, in the normal
+form of Poly; each operation loops on those integers and normalises its
+result by one gcd pass (_from_ints).  Products and the cocycle visit only
+the pairs of words whose matrix slots match, and a product adds the
+contributions of a pair into one row (i, p, q) of numerators indexed by
+the D power (_product_rows).
 """
 
 from __future__ import annotations
@@ -39,16 +39,14 @@ from .exact import (
 _ZERO = Fraction(0)
 
 
-def _to_ints(terms: Mapping) -> tuple[dict, int]:
-    """Integer numerators of the coefficients over their one lcm denominator."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
-
-
-def _from_ints(cells, den: int) -> dict:
-    """Monomial -> Fraction(n, den) for each ((i, j, p, q), n) of cells with n != 0."""
-    new = tuple.__new__
-    return {new(Monomial, key): Fraction(n, den) for key, n in cells if n}
+def _from_ints(cells, den: int) -> tuple[dict, int]:
+    """Normal form (nums, den) of the numerators ((i, j, p, q), n) of cells over den > 0."""
+    nums = {key: n for key, n in cells if n}
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {key: n // g for key, n in nums.items()}
+    return nums, den
 
 
 def _product_rows(na: Mapping, nb: Mapping) -> defaultdict:
@@ -83,14 +81,16 @@ class _OperatorSum:
     Shared implementation of the power-basis and falling-basis element
     types; the two are distinct classes so they never mix silently.
     Coefficients must be exact (int or Fraction); others raise TypeError.
+    They are stored as nums, (i, j, p, q) -> nonzero int, over den > 0 with
+    gcd(den, *nums) = 1; .terms builds Monomial -> Fraction on each read.
     """
 
-    __slots__ = ("rank", "terms", "central")
+    __slots__ = ("rank", "nums", "den", "central")
 
     def __init__(self, rank: int, terms: Mapping[Monomial, object] | None = None, central=0):
         if not isinstance(rank, int) or rank < 1:
             raise DimensionError("rank must be a positive integer")
-        table: dict[Monomial, Fraction] = {}
+        table: dict[tuple, Fraction] = {}
         if terms:
             for mono, coeff in dict(terms).items():
                 if not isinstance(mono, Monomial):
@@ -101,23 +101,25 @@ class _OperatorSum:
                     raise DimensionError(f"matrix indices of {mono} out of range for rank {rank}")
                 value = _as_fraction(coeff)
                 if value:
-                    table[mono] = value
+                    table[tuple(mono)] = value
+        den = math.lcm(*[c.denominator for c in table.values()])
         self.rank = rank
-        self.terms = table
+        self.nums = {key: c.numerator * (den // c.denominator) for key, c in table.items()}
+        self.den = den
         self.central = _as_fraction(central)
 
     @classmethod
-    def _raw(cls, rank: int, terms: dict[Monomial, Fraction], central: Fraction):
-        # Internal fast path: inputs already validated, nonzero and exact.
+    def _raw(cls, rank: int, normal: tuple[dict, int], central: Fraction):
+        # Internal fast path: normal is (nums, den) as _from_ints returns it.
         el = object.__new__(cls)
         el.rank = rank
-        el.terms = terms
+        el.nums, el.den = normal
         el.central = central if isinstance(central, Fraction) else Fraction(central)
         return el
 
     @classmethod
     def zero(cls, rank: int):
-        return cls._raw(rank, {}, _ZERO)
+        return cls._raw(rank, ({}, 1), _ZERO)
 
     @classmethod
     def term(cls, rank: int, i: int, j: int, p: int, q: int, coeff=1):
@@ -127,11 +129,16 @@ class _OperatorSum:
     def central_term(cls, rank: int, coeff=1):
         return cls(rank, {}, coeff)
 
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        new, den = tuple.__new__, self.den
+        return {new(Monomial, key): Fraction(n, den) for key, n in self.nums.items()}
+
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items())
 
     def __bool__(self) -> bool:
-        return bool(self.terms) or bool(self.central)
+        return bool(self.nums) or bool(self.central)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -139,7 +146,8 @@ class _OperatorSum:
         return (
             self.rank == other.rank
             and self.central == other.central
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __add__(self, other):
@@ -154,12 +162,11 @@ class _OperatorSum:
             return NotImplemented
         if other.rank != self.rank:
             raise DimensionError("operand ranks differ")
-        na, da = _to_ints(self.terms)
-        nb, db = _to_ints(other.terms)
+        da, db = self.den, other.den
         g = math.gcd(da, db)
         fa, fb = db // g, sign * da // g
-        out = {m: c * fa for m, c in na.items()}
-        for m, c in nb.items():
+        out = {m: c * fa for m, c in self.nums.items()}
+        for m, c in other.nums.items():
             out[m] = out.get(m, 0) + c * fb
         return type(self)._raw(
             self.rank, _from_ints(out.items(), da * fa), self.central + sign * other.central
@@ -172,12 +179,10 @@ class _OperatorSum:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         factor = Fraction(scalar)
-        nums, den = _to_ints(self.terms)
         top = factor.numerator
+        cells = ((m, c * top) for m, c in self.nums.items())
         return type(self)._raw(
-            self.rank,
-            _from_ints(((m, c * top) for m, c in nums.items()), den * factor.denominator),
-            self.central * factor,
+            self.rank, _from_ints(cells, self.den * factor.denominator), self.central * factor
         )
 
     __rmul__ = __mul__
@@ -254,50 +259,47 @@ def canonical_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     ignored; the result has zero central part.
     """
     _check_pair(a, b, AlgebraElement)
-    na, da = _to_ints(a.terms)
-    nb, db = _to_ints(b.terms)
+    na, nb = a.nums, b.nums
     rows = _product_rows(na, nb)
     _add_products(rows, na, nb, 1)
-    return AlgebraElement._raw(a.rank, _from_ints(_cells(rows), da * db), _ZERO)
+    return AlgebraElement._raw(a.rank, _from_ints(_cells(rows), a.den * b.den), _ZERO)
 
 
 def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Commutator ab - ba of the composition product (no central term)."""
     _check_pair(a, b, AlgebraElement)
-    na, da = _to_ints(a.terms)
-    nb, db = _to_ints(b.terms)
+    na, nb = a.nums, b.nums
     rows = _product_rows(na, nb)
     _add_products(rows, na, nb, 1)
     _add_products(rows, nb, na, -1)
-    return AlgebraElement._raw(a.rank, _from_ints(_cells(rows), da * db), _ZERO)
+    return AlgebraElement._raw(a.rank, _from_ints(_cells(rows), a.den * b.den), _ZERO)
 
 
-def _change_basis(terms: Mapping, table) -> tuple[dict, int]:
+def _change_basis(nums: Mapping, table) -> dict:
     # Integer numerators of sum c t^i X_j E[p,q], X_j = sum_s table(j)[s] Y_s.
-    nums, den = _to_ints(terms)
     out: dict = {}
     for (i, j, p, q), c in nums.items():
         for s, w in enumerate(table(j)):
             if w:
                 key = (i, s, p, q)
                 out[key] = out.get(key, 0) + c * w
-    return out, den
+    return out
 
 
 def to_falling(a: AlgebraElement) -> FallingElement:
     """Rewrite D^j in terms of [D]_s; the central part passes through."""
     if not isinstance(a, AlgebraElement):
         raise TypeError("expected an AlgebraElement")
-    out, den = _change_basis(a.terms, power_to_falling_coeffs)
-    return FallingElement._raw(a.rank, _from_ints(out.items(), den), a.central)
+    out = _change_basis(a.nums, power_to_falling_coeffs)
+    return FallingElement._raw(a.rank, _from_ints(out.items(), a.den), a.central)
 
 
 def from_falling(f: FallingElement) -> AlgebraElement:
     """Rewrite [D]_j in terms of D^s; inverse of to_falling."""
     if not isinstance(f, FallingElement):
         raise TypeError("expected a FallingElement")
-    out, den = _change_basis(f.terms, falling_to_power_coeffs)
-    return AlgebraElement._raw(f.rank, _from_ints(out.items(), den), f.central)
+    out = _change_basis(f.nums, falling_to_power_coeffs)
+    return AlgebraElement._raw(f.rank, _from_ints(out.items(), f.den), f.central)
 
 
 def _psi_parity(j: int) -> int:
@@ -340,15 +342,15 @@ def cocycle_psi(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     inputs contribute nothing.
     """
     _check_pair(a, b, AlgebraElement)
-    fa, da = _change_basis(a.terms, power_to_falling_coeffs)
-    fb, db = _change_basis(b.terms, power_to_falling_coeffs)
-    return Fraction(_psi_total(fa.items(), fb.items()), da * db)
+    fa = _change_basis(a.nums, power_to_falling_coeffs)
+    fb = _change_basis(b.nums, power_to_falling_coeffs)
+    return Fraction(_psi_total(fa.items(), fb.items()), a.den * b.den)
 
 
 def central_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bracket of the central extension: plain bracket plus psi(a, b) C."""
     out = plain_bracket(a, b)
-    return AlgebraElement._raw(a.rank, out.terms, cocycle_psi(a, b))
+    return AlgebraElement._raw(a.rank, (out.nums, out.den), cocycle_psi(a, b))
 
 
 def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingElement:
@@ -364,26 +366,26 @@ def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingEleme
     to the power basis, applying central_bracket, and converting back.
     """
     _check_pair(a, b, FallingElement)
-    na, da = _to_ints(a.terms)
-    nb, db = _to_ints(b.terms)
+    na, nb = a.nums, b.nums
     rows = _product_rows(na, nb)
     _add_products(rows, na, nb, 1, falling=True)
     _add_products(rows, nb, na, -1, falling=True)
-    den = da * db
+    den = a.den * b.den
     central = Fraction(_psi_total(na.items(), nb.items()), den)
     return FallingElement._raw(a.rank, _from_ints(_cells(rows), den), central)
 
 
 def homogeneous_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
     """Split an element by principal grade; the zero element gives {}."""
-    buckets: dict[int, dict[Monomial, Fraction]] = {}
-    for mono, c in a.terms.items():
-        buckets.setdefault(degree(mono, a.rank), {})[mono] = c
+    buckets: dict[int, dict] = {}
+    for key, c in a.nums.items():
+        buckets.setdefault(degree(tuple.__new__(Monomial, key), a.rank), {})[key] = c
     if a.central:
         buckets.setdefault(0, {})
+    central = {0: a.central}
     return {
-        d: AlgebraElement._raw(a.rank, buckets[d], a.central if d == 0 else _ZERO)
-        for d in sorted(buckets)
+        d: AlgebraElement._raw(a.rank, _from_ints(nums.items(), a.den), central.get(d, _ZERO))
+        for d, nums in sorted(buckets.items())
     }
 
 
@@ -403,14 +405,13 @@ def sigma(a: AlgebraElement) -> AlgebraElement:
         raise TypeError("expected an AlgebraElement")
     if a.central:
         raise ValueError("sigma is defined on central-free elements only")
-    nums, den = _to_ints(a.terms)
     out: dict = {}
-    for (i, j, p, q), c in nums.items():
+    for (i, j, p, q), c in a.nums.items():
         scale = c * _sigma_sign(j)
         for u, w in _product_expansion(j, i):
             key = (i, u, q, p)
             out[key] = out.get(key, 0) + scale * w
-    return AlgebraElement._raw(a.rank, _from_ints(out.items(), den), _ZERO)
+    return AlgebraElement._raw(a.rank, _from_ints(out.items(), a.den), _ZERO)
 
 
 def embed_scalar(i: int, j: int, rank: int) -> AlgebraElement:

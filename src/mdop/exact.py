@@ -21,8 +21,8 @@ from typing import Iterable
 Rational = Fraction
 
 # Entries kept by each memo cache of the kernel.  The Jordan powers are
-# keyed by a Poly, so acting with ever-new specialized parameters would
-# otherwise grow that cache without limit.
+# keyed by the parameter, so acting with ever-new specialized parameters
+# would otherwise grow that cache without limit.
 CACHE_SIZE = 4096
 
 
@@ -119,6 +119,27 @@ def power_to_falling_coeffs(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
     falling_to_power_coeffs gives the identity.
     """
     return (0, *[s * prev[s] + prev[s - 1] for s in range(1, n)], 1)
+
+
+def _convolve(a, b) -> list[int]:
+    # Numerators of the product of two polynomials, from their numerators.
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for k, cb in enumerate(b):
+                out[i + k] += ca * cb
+    return out
+
+
+def _power(base, exponent: int) -> list[int]:
+    # Numerators of base^exponent, by repeated squaring.
+    result = [1]
+    while exponent:
+        if exponent & 1:
+            result = _convolve(result, base)
+        exponent >>= 1
+        base = _convolve(base, base) if exponent else base
+    return result
 
 
 def _reduced(nums: list[int], den: int) -> "Poly":
@@ -251,37 +272,17 @@ class Poly:
                 return NotImplemented
             top = other.numerator
             return _reduced([c * top for c in self.nums], self.den * other.denominator)
-        a, b = self.nums, other.nums
-        if not a or not b:
-            return _POLY_ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for k, cb in enumerate(b):
-                    out[i + k] += ca * cb
-        return _reduced(out, self.den * other.den)
+        return _reduced(_convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = _POLY_ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _reduced(_power(self.nums, exponent), self.den**exponent)
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r})"
-
-
-_POLY_ZERO = Poly(())
-_POLY_ONE = Poly((1,))
 
 
 def jordan_shifted_power(base, m: int, j: int) -> tuple[Poly, ...]:
@@ -298,9 +299,16 @@ def jordan_shifted_power(base, m: int, j: int) -> tuple[Poly, ...]:
     poly = Poly._coerce(base)
     if poly is None:
         raise TypeError("base must be an exact scalar or Poly")
-    return _jordan_power_cached(poly, m, j)
+    rows = _jordan_power_cached(poly.nums, poly.den, 0, m, j)
+    return tuple(_reduced(list(row), poly.den ** (j - d)) for d, row in enumerate(rows))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _jordan_power_cached(base: Poly, m: int, j: int) -> tuple[Poly, ...]:
-    return tuple(math.comb(j, d) * base ** (j - d) for d in range(min(m, j + 1)))
+def _jordan_power_cached(nums: tuple, den: int, shift: int, m: int, j: int) -> tuple:
+    # The band for base = nums/den + shift as integer rows: row d holds the
+    # numerators of binom(j, d) * base^(j-d) over den^(j-d).
+    base = list(nums) or [0]
+    base[0] += shift * den
+    return tuple(
+        tuple(math.comb(j, d) * c for c in _power(base, j - d)) for d in range(min(m, j + 1))
+    )

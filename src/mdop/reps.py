@@ -12,6 +12,7 @@ parameter exponent, r picks the matrix slot, and s the Jordan slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Mapping
 
 from . import algebra
 from .algebra import AlgebraElement, embed_scalar
-from .exact import DimensionError, Poly, jordan_shifted_power
+from .exact import DimensionError, Poly, _jordan_power_cached, _reduced
 
 _POLY_ZERO = Poly(())
 _POLY_ONE = Poly.const(1)
@@ -156,6 +157,8 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
     (param+shift)*id + J raised to the j-th power, J the upper-shift
     nilpotent: it sends Jordan slot s to slot s-d with weight band[d], the
     band of jordan_shifted_power.  The central coefficient of x acts as zero.
+    The sums run on integer numerators, each band row over param.den ** j_max
+    (j_max the highest D power in x), and each output entry is reduced once.
     """
     if not isinstance(x, AlgebraElement):
         raise TypeError("operators act through AlgebraElement values")
@@ -164,28 +167,36 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
         raise DimensionError("operator and vector ranks differ")
     twisted = params.family is Family.VBAR
     m = params.m
-    out: dict[tuple[int, int, int], Poly] = {}
-    for mono, cx in x.terms.items():
-        i = mono.i
-        for (k, r, s), cv in v.entries.items():
-            if twisted:
-                if mono.p != r:
-                    continue
-                band = jordan_shifted_power(params.param + (i + k), m, mono.j)
-                contrib = cv * (cx * algebra._sigma_sign(mono.j))
-                target_r = mono.q
-            else:
-                if mono.q != r:
-                    continue
-                band = jordan_shifted_power(params.param + k, m, mono.j)
-                contrib = cv * cx
-                target_r = mono.p
-            for d, w in enumerate(band[:s]):
-                if w:
-                    key = (i + k, target_r, s - d)
-                    piece = contrib * w
-                    out[key] = out[key] + piece if key in out else piece
-    return ModuleVector._raw(params, {key: c for key, c in out.items() if c})
+    pnums, pden = params.param.nums, params.param.den
+    vden = math.lcm(*[c.den for c in v.entries.values()])
+    slots: dict[int, list] = {}
+    for (k, r, s), c in v.entries.items():
+        slots.setdefault(r, []).append((k, s, [n * (vden // c.den) for n in c.nums]))
+    j_max = max([key[1] for key in x.nums], default=0)
+    lifts = [pden**e for e in range(j_max + 1)]
+    width = max(map(len, (c.nums for c in v.entries.values())), default=0)
+    width += (max(len(pnums), 1) - 1) * j_max
+    out: dict[tuple[int, int, int], list] = {}
+    for (i, j, p, q), cx in x.nums.items():
+        if twisted:
+            source, target, cx = p, q, cx * algebra._sigma_sign(j)
+        else:
+            source, target = q, p
+        for k, s, cv in slots.get(source, ()):
+            band = _jordan_power_cached(pnums, pden, i + k if twisted else k, m, j)
+            for d, row in enumerate(band[:s]):
+                key = (i + k, target, s - d)
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = [0] * width
+                w = cx * lifts[j_max - j + d]
+                for a, ca in enumerate(cv):
+                    c = w * ca
+                    for b, cb in enumerate(row):
+                        acc[a + b] += c * cb
+    den = x.den * vden * lifts[j_max]
+    polys = {key: _reduced(acc, den) for key, acc in out.items()}
+    return ModuleVector._raw(params, {key: c for key, c in polys.items() if c})
 
 
 def grade_index(params: ModuleParams, k: int, r: int) -> int:

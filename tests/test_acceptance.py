@@ -229,7 +229,7 @@ class TestCriterion11MutationSensitivity:
 
     def test_product_truncation_is_detected(self, monkeypatch):
         monkeypatch.setattr(
-            algebra, "_product_expansion", lambda j, k: ((j, Fraction(1)),)
+            algebra, "_product_expansion", lambda j, k: ((j, 1),)
         )
         assert self._failing()
 

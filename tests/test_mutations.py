@@ -7,8 +7,6 @@ attributes, so the patches take effect without test-only hooks in the
 shipped code.
 """
 
-from fractions import Fraction
-
 import pytest
 
 import mdop.algebra as algebra
@@ -30,7 +28,7 @@ def _negated_cocycle(a, b):
 
 def _truncated_expansion(j, k):
     # Drop every s > 0 summand of (D + k)^j.
-    return ((j, Fraction(1)),)
+    return ((j, 1),)
 
 
 def _biased_expansion(j, k):

@@ -159,3 +159,41 @@ def test_act_returns_polys(seed, family, m):
     for poly in image.entries.values():
         assert type(poly) is Poly
         assert_normal(poly)
+
+
+words = st.tuples(st.integers(-4, 4), st.integers(0, 6), st.integers(1, 2), st.integers(1, 2))
+term_maps = st.dictionaries(words, st.one_of(rationals, st.integers(-3, 3)), max_size=5)
+
+
+def assert_element_normal(e):
+    assert e.den > 0
+    assert math.gcd(e.den, *e.nums.values()) == 1
+    for key, n in e.nums.items():
+        assert type(n) is int and n
+        assert type(key) is tuple and len(key) == 4 and all(type(x) is int for x in key)
+    terms = e.terms
+    assert all(type(m) is algebra.Monomial for m in terms)
+    assert terms == {algebra.Monomial(*key): Fraction(n, e.den) for key, n in e.nums.items()}
+    assert type(e)(e.rank, terms, e.central) == e
+    before = (dict(e.nums), e.den)
+    terms.clear()
+    terms[algebra.Monomial(0, 0, 1, 1)] = Fraction(7)
+    assert (e.nums, e.den) == before and e.terms != terms
+
+
+@examples
+@given(term_maps, term_maps, rationals, rationals)
+def test_elements_stay_in_normal_form(ta, tb, central, scalar):
+    a = algebra.AlgebraElement(2, ta, central)
+    b = algebra.AlgebraElement(2, tb)
+    fa, fb = algebra.FallingElement(2, ta, central), algebra.FallingElement(2, tb)
+    results = [
+        a, b, fa, a.zero(2), a + b, a - b, a - a, -a, a * scalar, 0 * a,
+        algebra.canonical_product(a, b), algebra.plain_bracket(a, b),
+        algebra.central_bracket(a, b), algebra.sigma(b), algebra.to_falling(a),
+        algebra.from_falling(fa), algebra.bracket_falling_direct(fa, fb),
+        algebra.embed_scalar(1, 2, 2), fa + fb,
+        *algebra.homogeneous_components(a).values(),
+    ]
+    for e in results:
+        assert_element_normal(e)
