@@ -4,21 +4,22 @@ One subcommand per kernel operation plus the suite runner.  The five that
 apply a single algebra function come from one table, and every result is
 written as text or JSON by one renderer.  Exit codes:
 0 on success, 1 when a verify run reports any failing check, 2 on parse
-or usage errors.  All diagnostics go to stderr; each refusal is one line
-`error: <message>`.
+or usage errors, 3 on an internal error.  All diagnostics go to stderr;
+each refusal is one line `error: <message>`.
+
+A call imports only what its subcommand needs: reps only for act and
+pair, verify only for verify, json only for JSON output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from . import algebra, expr, reps, verify
+from . import algebra, expr
 from .algebra import AlgebraElement, FallingElement
 from .exact import Poly
-from .reps import Family, ModuleParams, ModuleVector
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,7 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _module_params(args, family: Family, m: int) -> ModuleParams:
+def _module_params(args, family: str, m: int):
+    from .reps import Family, ModuleParams
+
+    family = Family(family)
     if args.lam == "formal":
         return ModuleParams.formal(family, args.n, m)
     try:
@@ -161,19 +165,22 @@ def _render(value) -> tuple[object, str]:
         return expr.element_to_json(value), expr.format_element(value)
     if isinstance(value, FallingElement):
         return expr.falling_element_to_json(value), expr.format_falling_element(value)
-    if isinstance(value, ModuleVector):
-        return expr.module_vector_to_json(value), expr.format_module_vector(value)
     if isinstance(value, Poly):
         return expr.poly_to_json(value), expr.format_poly(value)
     if isinstance(value, dict):  # homogeneous components by degree
         rows = [{"degree": d, "element": expr.element_to_json(c)} for d, c in value.items()]
         text = "\n".join(f"{d}: {expr.format_element(c)}" for d, c in value.items())
         return {"components": rows}, text or "0"
-    if isinstance(value, verify.Report):
-        return value.to_json(), value.to_text()
     if isinstance(value, list):  # verify --list-checks
         return value, "\n".join(value)
-    return {"value": str(value)}, str(value)  # a cocycle value
+    if isinstance(value, (int, Fraction)):  # a cocycle value
+        return {"value": str(value)}, str(value)
+    # Only act and verify get here, so their layer is loaded already.
+    from .reps import ModuleVector
+
+    if isinstance(value, ModuleVector):
+        return expr.module_vector_to_json(value), expr.format_module_vector(value)
+    return value.to_json(), value.to_text()  # a verify Report
 
 
 def _elements(args) -> list[AlgebraElement]:
@@ -190,21 +197,27 @@ def _cmd_convert(args):
     return element if args.to == "power" else algebra.to_falling(element)
 
 
-def _cmd_act(args) -> ModuleVector:
-    params = _module_params(args, Family(args.family), args.m)
+def _cmd_act(args):
+    from . import reps
+
+    params = _module_params(args, args.family, args.m)
     x = expr.parse_element(args.element, args.n)
     v = expr.parse_module_vector(args.vector, params)
     return reps.act(x, v)
 
 
 def _cmd_pair(args) -> Poly:
-    params_w = _module_params(args, Family.VBAR, 1)
+    from . import reps
+
+    params_w = _module_params(args, "Vbar", 1)
     w = expr.parse_module_vector(args.twisted, params_w)
     v = expr.parse_module_vector(args.vector, params_w.dual())
     return reps.pairing(w, v)
 
 
 def _cmd_verify(args):
+    from . import verify
+
     if args.list_checks:
         return list(verify.available_checks())
     config = verify.SuiteConfig(
@@ -232,8 +245,16 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ParseError and DimensionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(as_json) if args.format == "json" else text)
-    return 1 if isinstance(value, verify.Report) and not value.passed else 0
+    except Exception as exc:  # a fault of the program, never a verdict
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
+    if args.format == "json":
+        import json
+
+        text = json.dumps(as_json)
+    print(text)
+    return 0 if getattr(value, "passed", True) else 1  # only a verify Report has .passed
 
 
 if __name__ == "__main__":

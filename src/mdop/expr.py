@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import AlgebraElement, FallingElement, Monomial
 from .exact import Poly, falling_to_power_coeffs
-from .reps import Family, ModuleParams, ModuleVector
+
+if TYPE_CHECKING:  # reps is imported where a vector is parsed
+    from .reps import ModuleParams, ModuleVector
 
 _POLY_ONE = Poly.const(1)
 
@@ -329,6 +331,8 @@ def _parse_vector_term(ts: _TokenStream, params: ModuleParams):
 
 def parse_module_vector(text: str, params: ModuleParams) -> ModuleVector:
     """Parse a module-vector expression against the given parameters."""
+    from .reps import ModuleVector  # the only layer a vector needs beyond algebra
+
     ts = _TokenStream(text)
     entries: dict[tuple[int, int, int], Poly] = {}
     zero = Poly(())
@@ -349,6 +353,8 @@ def parse_expression(text: str, rank: int, params: ModuleParams | None = None):
     """
     if any(t.kind == "NAME" and t.text == "v" for t in _tokenize(text)):
         if params is None:
+            from .reps import Family, ModuleParams
+
             params = ModuleParams.formal(Family.V, rank)
         return parse_module_vector(text, params)
     return parse_element(text, rank)

@@ -13,7 +13,6 @@ parameter exponent, r picks the matrix slot, and s the Jordan slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping
@@ -24,6 +23,7 @@ from .exact import DimensionError, Poly, _jordan_power_cached, _reduced
 
 _POLY_ZERO = Poly(())
 _POLY_ONE = Poly.const(1)
+_POLY_VAR = Poly.var()
 
 
 class Family(Enum):
@@ -31,8 +31,37 @@ class Family(Enum):
     VBAR = "Vbar"
 
 
-@dataclass(frozen=True)
-class ModuleParams:
+class _Record:
+    """An immutable value compared, hashed and printed by its _fields, as a
+    frozen dataclass is; plain, so that importing reps needs no dataclasses."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        object.__setattr__(self, "_values", values)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ModuleParams(_Record):
     """Which module a vector lives in.
 
     param is the module parameter as a polynomial in the formal
@@ -42,15 +71,13 @@ class ModuleParams:
     intermediate-series case).
     """
 
-    family: Family
-    rank: int
-    m: int = 1
-    param: Poly = Poly.var()
+    _fields = ("family", "rank", "m", "param")
 
-    def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 1:
+    def __init__(self, family: Family, rank: int, m: int = 1, param: Poly = _POLY_VAR):
+        self._freeze(family, rank, m, param)
+        if not isinstance(rank, int) or rank < 1:
             raise DimensionError("rank must be a positive integer")
-        if not isinstance(self.m, int) or self.m < 1:
+        if not isinstance(m, int) or m < 1:
             raise ValueError("Jordan block size must be positive")
 
     @staticmethod
@@ -258,13 +285,13 @@ def pairing(w: ModuleVector, v: ModuleVector) -> Poly:
     return total
 
 
-@dataclass(frozen=True)
-class WeightRecord:
+class WeightRecord(_Record):
     """Eigenvalues of the commuting generators on one m = 1 basis slot."""
 
-    central: Fraction
-    euler: Poly
-    diagonal: tuple[Fraction, ...]
+    _fields = ("central", "euler", "diagonal")
+
+    def __init__(self, central: Fraction, euler: Poly, diagonal: tuple[Fraction, ...]):
+        self._freeze(central, euler, diagonal)
 
 
 def _eigenvalue(image: ModuleVector, v: ModuleVector) -> Poly:

@@ -125,8 +125,13 @@ def sample_monomial(rng: random.Random, rank: int, i_bound: int, j_bound: int) -
     )
 
 
+def _sample_num(rng: random.Random) -> int:
+    """A small rational c/d (|c| <= 3, 1 <= d <= 3) as its numerator over 6 = lcm(1, 2, 3)."""
+    return rng.choice((-3, -2, -1, 1, 2, 3)) * 6 // rng.randint(1, 3)
+
+
 def _sample_coeff(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return Fraction(_sample_num(rng), 6)
 
 
 def sample_element(
@@ -140,14 +145,15 @@ def sample_element(
     """Short random combination (1-3 terms, small rational coefficients).
 
     cls is the element type built from the terms: AlgebraElement, or
-    FallingElement to read j as a falling power.
+    FallingElement to read j as a falling power.  The numerators are drawn
+    over 6 and the element is built in normal form, bypassing validation.
     """
-    terms: dict[Monomial, Fraction] = {}
+    nums: dict[tuple[int, int, int, int], int] = {}
     for _ in range(rng.randint(1, 3)):
-        mono = sample_monomial(rng, rank, i_bound, j_bound)
-        terms[mono] = terms.get(mono, Fraction(0)) + _sample_coeff(rng)
+        key = tuple(sample_monomial(rng, rank, i_bound, j_bound))
+        nums[key] = nums.get(key, 0) + _sample_num(rng)
     central = _sample_coeff(rng) if allow_central and rng.random() < 0.3 else 0
-    return cls(rank, terms, central)
+    return cls._raw(rank, algebra._from_ints(nums.items(), 6), central)
 
 
 def sample_falling_element(

@@ -245,6 +245,17 @@ class TestExitCodes:
             assert err.startswith(f"error: D power of a term above the limit {expr.MAX_D_POWER}")
             assert err.count("\n") == 1
 
+    def test_internal_error_is_three(self, capsys, monkeypatch):
+        # A fault of the program is neither a refusal (2) nor a failed check (1).
+        def broken(*args):
+            raise RuntimeError("kernel fault\non two lines")
+
+        monkeypatch.setattr(algebra, "central_bracket", broken)
+        code, out, err = run_cli(capsys, "bracket", "--n", "1", "D", "t")
+        assert (code, out) == (3, "")
+        assert err == "error: internal error: RuntimeError: kernel fault on two lines\n"
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 

@@ -239,6 +239,52 @@ class TestPairing:
             pairing(w, w)
 
 
+class TestModuleParams:
+    def test_equality_and_hash_follow_the_fields(self):
+        a = ModuleParams(Family.V, 2, 1, X)
+        b = ModuleParams(family=Family.V, rank=2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ModuleParams.formal(Family.V, 2)}) == 1
+        for other in (
+            ModuleParams(Family.VBAR, 2),
+            ModuleParams(Family.V, 1),
+            ModuleParams(Family.V, 2, 2),
+            ModuleParams(Family.V, 2, 1, -X),
+        ):
+            assert a != other
+        assert a != (Family.V, 2, 1, X)
+        assert a.dual() == ModuleParams(Family.V, 2, 1, -X)
+
+    def test_immutable(self):
+        params = formal()
+        with pytest.raises(AttributeError):
+            params.rank = 3
+        with pytest.raises(AttributeError):
+            del params.m
+        assert params.rank == 1 and params.m == 1
+
+    def test_repr_names_the_fields(self):
+        params = ModuleParams(Family.VBAR, 2, 3, Poly.const(Fraction(1, 2)))
+        assert repr(params) == (
+            f"ModuleParams(family={Family.VBAR!r}, rank=2, m=3, param={params.param!r})"
+        )
+
+    @pytest.mark.parametrize(
+        "rank,m,error",
+        [(0, 1, DimensionError), ("1", 1, DimensionError), (1, 0, ValueError), (1, 1.0, ValueError)],
+    )
+    def test_validation(self, rank, m, error):
+        with pytest.raises(error):
+            ModuleParams(Family.V, rank, m)
+
+    def test_weight_record_is_a_value(self):
+        a, b = weight_of(formal(Family.V, 2), 3, 2), weight_of(formal(Family.V, 2), 3, 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != weight_of(formal(Family.V, 2), 3, 1)
+        with pytest.raises(AttributeError):
+            a.central = 1
+
+
 class TestWeights:
     def test_family_v_weight(self):
         record = weight_of(formal(Family.V, 2), 3, 2)
