@@ -125,17 +125,19 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("vector", metavar="V_VECTOR")
     pair.set_defaults(func=_cmd_pair)
 
-    ver = commands.add_parser("verify", help="run the identity verification suite")
-    ver.add_argument("--n", type=_int_list, default=(1, 2), metavar="N1,N2", help="ranks")
-    ver.add_argument("--m", type=_int_list, default=(1, 2), metavar="M1,M2", help="Jordan sizes")
-    ver.add_argument("--samples", type=int, default=200)
-    ver.add_argument("--seed", type=int, default=7)
-    ver.add_argument("--i-bound", type=int, default=3)
-    ver.add_argument("--j-bound", type=int, default=3)
+    # SuiteConfig holds the defaults of the suite, so a flag not given is left unset.
+    ver = commands.add_parser(
+        "verify", help="run the identity verification suite", argument_default=argparse.SUPPRESS
+    )
+    ver.add_argument("--n", type=_int_list, dest="ranks", metavar="N1,N2", help="ranks")
+    ver.add_argument("--m", type=_int_list, dest="m_values", metavar="M1,M2", help="Jordan sizes")
+    ver.add_argument("--samples", type=int)
+    ver.add_argument("--seed", type=int)
+    ver.add_argument("--i-bound", type=int)
+    ver.add_argument("--j-bound", type=int)
     ver.add_argument(
         "--checks",
         type=_name_list,
-        default=None,
         metavar="NAME1,NAME2",
         help="subset of checks to run (default all; see --list-checks)",
     )
@@ -159,28 +161,32 @@ def _module_params(args, family: str, m: int):
     return ModuleParams(family, args.n, m, Poly.const(value))
 
 
-def _render(value) -> tuple[object, str]:
-    """The JSON object and the text of a command's result."""
+def _render(value, as_json: bool) -> str:
+    """A command's result as JSON or as text; the form not asked for is not built."""
     if isinstance(value, AlgebraElement):
-        return expr.element_to_json(value), expr.format_element(value)
-    if isinstance(value, FallingElement):
-        return expr.falling_element_to_json(value), expr.format_falling_element(value)
-    if isinstance(value, Poly):
-        return expr.poly_to_json(value), expr.format_poly(value)
-    if isinstance(value, dict):  # homogeneous components by degree
+        out = (expr.element_to_json if as_json else expr.format_element)(value)
+    elif isinstance(value, FallingElement):
+        out = (expr.falling_element_to_json if as_json else expr.format_falling_element)(value)
+    elif isinstance(value, Poly):
+        out = (expr.poly_to_json if as_json else expr.format_poly)(value)
+    elif isinstance(value, dict) and as_json:  # homogeneous components by degree
         rows = [{"degree": d, "element": expr.element_to_json(c)} for d, c in value.items()]
-        text = "\n".join(f"{d}: {expr.format_element(c)}" for d, c in value.items())
-        return {"components": rows}, text or "0"
-    if isinstance(value, list):  # verify --list-checks
-        return value, "\n".join(value)
-    if isinstance(value, (int, Fraction)):  # a cocycle value
-        return {"value": str(value)}, str(value)
-    # Only act and verify get here, so their layer is loaded already.
-    from .reps import ModuleVector
+        out = {"components": rows}
+    elif isinstance(value, dict):
+        out = "\n".join(f"{d}: {expr.format_element(c)}" for d, c in value.items()) or "0"
+    elif isinstance(value, list):  # verify --list-checks
+        out = value if as_json else "\n".join(value)
+    elif isinstance(value, (int, Fraction)):  # a cocycle value
+        out = {"value": str(value)} if as_json else str(value)
+    elif hasattr(value, "to_text"):  # a verify Report
+        out = value.to_json() if as_json else value.to_text()
+    else:  # a module vector
+        out = (expr.module_vector_to_json if as_json else expr.format_module_vector)(value)
+    if not as_json:
+        return out
+    import json
 
-    if isinstance(value, ModuleVector):
-        return expr.module_vector_to_json(value), expr.format_module_vector(value)
-    return value.to_json(), value.to_text()  # a verify Report
+    return json.dumps(out)
 
 
 def _elements(args) -> list[AlgebraElement]:
@@ -216,20 +222,14 @@ def _cmd_pair(args) -> Poly:
 
 
 def _cmd_verify(args):
+    from dataclasses import fields
+
     from . import verify
 
-    if args.list_checks:
+    if "list_checks" in args:
         return list(verify.available_checks())
-    config = verify.SuiteConfig(
-        ranks=args.n,
-        i_bound=args.i_bound,
-        j_bound=args.j_bound,
-        m_values=args.m,
-        samples=args.samples,
-        seed=args.seed,
-        checks=args.checks,
-    )
-    return verify.run_suite(config)
+    given = {f.name: getattr(args, f.name) for f in fields(verify.SuiteConfig) if f.name in args}
+    return verify.run_suite(verify.SuiteConfig(**given))
 
 
 def main(argv=None) -> int:
@@ -241,7 +241,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         value = args.func(args)
-        as_json, text = _render(value)
+        text = _render(value, args.format == "json")
     except ValueError as exc:  # ParseError and DimensionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -249,10 +249,6 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        import json
-
-        text = json.dumps(as_json)
     print(text)
     return 0 if getattr(value, "passed", True) else 1  # only a verify Report has .passed
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import product, starmap
 from typing import Mapping
 
 from . import algebra
-from .algebra import AlgebraElement, embed_scalar
+from .algebra import AlgebraElement, Monomial, embed_scalar
 from .exact import DimensionError, Poly, _jordan_power_cached, _reduced
 
 _POLY_ZERO = Poly(())
@@ -336,31 +337,36 @@ def _is_poly_multiple(image: ModuleVector, v: ModuleVector) -> bool:
     return True
 
 
+def _generator_box(rank: int, i_bound: int, j_bound: int):
+    """Yield (grade, word) for every t^i D^j E[p,q] with |i| <= i_bound and
+    0 <= j <= j_bound, the grade read from algebra.degree on each call."""
+    slots = range(1, rank + 1)
+    box = product(range(-i_bound, i_bound + 1), range(j_bound + 1), slots, slots)
+    for mono in starmap(Monomial, box):
+        yield algebra.degree(mono, rank), mono
+
+
 def _bounded_extremal_test(v: ModuleVector, j_bound: int, i_bound: int, direction: int) -> bool:
     if not v:
         raise ValueError("the zero vector is not a weight vector")
     n = v.params.rank
-    for i in range(-i_bound, i_bound + 1):
-        for j in range(j_bound + 1):
-            for p in range(1, n + 1):
-                for q in range(1, n + 1):
-                    d = i * n + p - q
-                    image = act(AlgebraElement.term(n, i, j, p, q), v)
-                    if d == 0:
-                        if not _is_poly_multiple(image, v):
-                            return False
-                    elif d * direction > 0 and image:
-                        return False
+    for d, mono in _generator_box(n, i_bound, j_bound):
+        if d * direction < 0:
+            continue
+        image = act(AlgebraElement.term(n, *mono), v)
+        # Every generator applied must scale v, and one of nonzero grade kill it.
+        if (d and image) or not _is_poly_multiple(image, v):
+            return False
     return True
 
 
 def is_highest_weight_vector(v: ModuleVector, j_bound: int, i_bound: int) -> bool:
     """Bounded test of the highest-weight condition.
 
-    Every generator t^i D^j E[p,q] with |i| <= i_bound and j <= j_bound is
-    applied: grade-0 generators must scale v (a Poly multiple is allowed
-    when the parameter is formal) and positive-grade generators must
-    annihilate it.  This is a finite proxy for the unbounded condition;
+    Every generator t^i D^j E[p,q] with |i| <= i_bound, j <= j_bound and
+    grade >= 0 is applied: grade-0 generators must scale v (a Poly multiple
+    is allowed when the parameter is formal) and positive-grade generators
+    must annihilate it.  This is a finite proxy for the unbounded condition;
     the positive part of the algebra is generated from such a box by
     repeated brackets with t.
     """

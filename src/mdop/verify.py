@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from . import algebra, expr, reps
 from .algebra import AlgebraElement, FallingElement, Monomial
-from .exact import Poly, gen_binomial
+from .exact import Poly, _reduced, gen_binomial
 from .reps import Family, ModuleParams, ModuleVector
 
 _FAMILIES = (Family.V, Family.VBAR)
@@ -169,19 +169,20 @@ def sample_falling_element(
 def sample_module_vector(
     rng: random.Random, params: ModuleParams, i_bound: int
 ) -> ModuleVector:
-    """Short random vector; coefficients are degree <= 1 in the parameter."""
-    entries: dict[tuple[int, int, int], Poly] = {}
-    zero = Poly(())
+    """Short random vector; coefficients are degree <= 1 in the parameter,
+    drawn over 6 (the linear one first) and built in normal form."""
+    nums: dict[tuple[int, int, int], list[int]] = {}
     for _ in range(rng.randint(1, 3)):
         key = (
             rng.randint(-i_bound, i_bound),
             rng.randint(1, params.rank),
             rng.randint(1, params.m),
         )
-        linear = _sample_coeff(rng) if rng.random() < 0.5 else 0
-        poly = Poly((_sample_coeff(rng), linear))
-        entries[key] = entries.get(key, zero) + poly
-    return ModuleVector(params, entries)
+        linear = _sample_num(rng) if rng.random() < 0.5 else 0
+        c0, c1 = nums.get(key, (0, 0))
+        nums[key] = [c0 + _sample_num(rng), c1 + linear]
+    polys = {key: _reduced(acc, 6) for key, acc in nums.items()}
+    return ModuleVector._raw(params, {key: c for key, c in polys.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +205,8 @@ def available_checks() -> tuple[str, ...]:
     return tuple(sorted(_CHECKS))
 
 
-def _witness(head: str, **named) -> str:
-    """A counterexample: the head, then each named input in the CLI grammar."""
+def _witness(head: str, note: str | None = None, **named) -> str:
+    """A counterexample: the head, each named input in the CLI grammar, then the note."""
     parts = [head]
     for name, value in named.items():
         if isinstance(value, FallingElement):
@@ -215,23 +216,53 @@ def _witness(head: str, **named) -> str:
         else:
             value = expr.format_module_vector(value)
         parts.append(f"{name} = {value}")
+    if note is not None:
+        parts.append(note)
     return "; ".join(parts)
+
+
+def _sampled(name: str, cases):
+    """Register the decorated trial(cfg, rng, context) as a check of cfg.samples
+    trials per (head, context) case of cases(cfg).  A trial returns None when the
+    identity holds on its sample, else the named inputs (and note) for _witness."""
+
+    def register(trial):
+        @_check(name)
+        def check(cfg, rng):
+            for head, context in cases(cfg):
+                for _ in range(cfg.samples):
+                    failing = trial(cfg, rng, context)
+                    yield None if failing is None else _witness(head, **failing)
+
+        return trial
+
+    return register
+
+
+def _ranks(context=lambda n: n):
+    """Cases: one per rank n, headed n=<n>, with context(n) as the context."""
+    return lambda cfg: ((f"n={n}", context(n)) for n in cfg.ranks)
+
+
+def _modules(*families):
+    """Cases: one formal module per rank, family and Jordan size."""
+    return lambda cfg: (
+        (f"n={n} family={family.value} m={m}", ModuleParams.formal(family, n, m))
+        for n, family, m in iter_product(cfg.ranks, families, cfg.m_values)
+    )
 
 
 def _identity(name: str, arity: int, fails, allow_central=False, cls=AlgebraElement):
     """Register a check that draws arity elements per rank and sample and
     fails on the sample when fails(*elements) is true."""
 
-    def check(cfg, rng):
-        for n in cfg.ranks:
-            for _ in range(cfg.samples):
-                xs = [
-                    sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central, cls)
-                    for _ in range(arity)
-                ]
-                yield _witness(f"n={n}", **dict(zip("abc", xs))) if fails(*xs) else None
-
-    _CHECKS[name] = check
+    @_sampled(name, _ranks())
+    def trial(cfg, rng, n):
+        xs = [
+            sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central, cls)
+            for _ in range(arity)
+        ]
+        return dict(zip("abc", xs)) if fails(*xs) else None
 
 
 def _cyclic(term):
@@ -279,18 +310,15 @@ _identity(
 _identity("sigma_involution", 1, lambda a: algebra.sigma(algebra.sigma(a)) != a)
 
 
-@_check("grading_additivity")
-def _check_grading_additivity(cfg, rng):
-    for n in cfg.ranks:
-        for _ in range(cfg.samples):
-            ma = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
-            mb = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
-            a = AlgebraElement.term(n, *ma, coeff=_sample_coeff(rng))
-            b = AlgebraElement.term(n, *mb, coeff=_sample_coeff(rng))
-            expected = algebra.degree(ma, n) + algebra.degree(mb, n)
-            comps = algebra.homogeneous_components(algebra.central_bracket(a, b))
-            bad = any(d != expected for d in comps)
-            yield _witness(f"n={n}", a=a, b=b) if bad else None
+@_sampled("grading_additivity", _ranks())
+def _grading_additivity(cfg, rng, n):
+    ma = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
+    mb = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
+    a = AlgebraElement.term(n, *ma, coeff=_sample_coeff(rng))
+    b = AlgebraElement.term(n, *mb, coeff=_sample_coeff(rng))
+    expected = algebra.degree(ma, n) + algebra.degree(mb, n)
+    comps = algebra.homogeneous_components(algebra.central_bracket(a, b))
+    return dict(a=a, b=b) if any(d != expected for d in comps) else None
 
 
 @_check("sigma_identity_sign")
@@ -301,57 +329,36 @@ def _check_sigma_identity_sign(cfg, rng):
         yield f"n={n}; sigma(identity) != -identity" if bad else None
 
 
-@_check("twist_action")
-def _check_twist_action(cfg, rng):
-    for n in cfg.ranks:
-        params_v = ModuleParams.formal(Family.V, n)
-        params_b = ModuleParams.formal(Family.VBAR, n)
-        for _ in range(cfg.samples):
-            x = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            vb = sample_module_vector(rng, params_b, cfg.i_bound)
-            v = ModuleVector(params_v, vb.entries)
-            lhs = reps.act(x, vb)
-            rhs = reps.act(algebra.sigma(x), v)
-            bad = lhs.entries != rhs.entries
-            yield _witness(f"n={n}", x=x, v=vb) if bad else None
+@_sampled("twist_action", _ranks(lambda n: [ModuleParams.formal(f, n) for f in _FAMILIES]))
+def _twist_action(cfg, rng, params):
+    params_v, params_b = params
+    x = sample_element(rng, params_v.rank, cfg.i_bound, cfg.j_bound)
+    vb = sample_module_vector(rng, params_b, cfg.i_bound)
+    v = ModuleVector(params_v, vb.entries)
+    bad = reps.act(x, vb).entries != reps.act(algebra.sigma(x), v).entries
+    return dict(x=x, v=vb) if bad else None
 
 
-def _module_axiom(cfg, rng, family):
-    for n in cfg.ranks:
-        for m in cfg.m_values:
-            params = ModuleParams.formal(family, n, m)
-            for _ in range(cfg.samples):
-                x = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-                y = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
-                v = sample_module_vector(rng, params, cfg.i_bound)
-                lhs = reps.act(algebra.central_bracket(x, y), v)
-                rhs = reps.act(x, reps.act(y, v)) - reps.act(y, reps.act(x, v))
-                head = f"n={n} family={family.value} m={m}"
-                yield _witness(head, x=x, y=y, v=v) if lhs != rhs else None
+@_sampled("module_axiom_V", _modules(Family.V))
+@_sampled("module_axiom_Vbar", _modules(Family.VBAR))
+def _module_axiom(cfg, rng, params):
+    n = params.rank
+    x = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
+    y = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
+    v = sample_module_vector(rng, params, cfg.i_bound)
+    lhs = reps.act(algebra.central_bracket(x, y), v)
+    rhs = reps.act(x, reps.act(y, v)) - reps.act(y, reps.act(x, v))
+    return dict(x=x, y=y, v=v) if lhs != rhs else None
 
 
-@_check("module_axiom_V")
-def _check_module_axiom_v(cfg, rng):
-    return _module_axiom(cfg, rng, Family.V)
-
-
-@_check("module_axiom_Vbar")
-def _check_module_axiom_vbar(cfg, rng):
-    return _module_axiom(cfg, rng, Family.VBAR)
-
-
-@_check("pairing_contravariance")
-def _check_pairing_contravariance(cfg, rng):
-    for n in cfg.ranks:
-        params_w = ModuleParams.formal(Family.VBAR, n)
-        params_v = params_w.dual()
-        for _ in range(cfg.samples):
-            x = sample_element(rng, n, cfg.i_bound, cfg.j_bound)
-            w = sample_module_vector(rng, params_w, cfg.i_bound)
-            v = sample_module_vector(rng, params_v, cfg.i_bound)
-            lhs = reps.pairing(reps.act(x, w), v)
-            rhs = -reps.pairing(w, reps.act(x, v))
-            yield _witness(f"n={n}", x=x, w=w, v=v) if lhs != rhs else None
+@_sampled("pairing_contravariance", _ranks(lambda n: ModuleParams.formal(Family.VBAR, n)))
+def _pairing_contravariance(cfg, rng, params_w):
+    x = sample_element(rng, params_w.rank, cfg.i_bound, cfg.j_bound)
+    w = sample_module_vector(rng, params_w, cfg.i_bound)
+    v = sample_module_vector(rng, params_w.dual(), cfg.i_bound)
+    lhs = reps.pairing(reps.act(x, w), v)
+    rhs = -reps.pairing(w, reps.act(x, v))
+    return dict(x=x, w=w, v=v) if lhs != rhs else None
 
 
 @_check("matrix_unit_bracket")
@@ -412,56 +419,46 @@ def _check_grade_bijection(cfg, rng):
                     seen.add(g)
 
 
-@_check("module_grading")
-def _check_module_grading(cfg, rng):
-    for n in cfg.ranks:
-        for family in _FAMILIES:
-            for m in cfg.m_values:
-                params = ModuleParams.formal(family, n, m)
-                for _ in range(cfg.samples):
-                    mono = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
-                    x = AlgebraElement.term(n, *mono)
-                    k = rng.randint(-cfg.i_bound, cfg.i_bound)
-                    r = rng.randint(1, n)
-                    s = rng.randint(1, m)
-                    v = ModuleVector.basis(params, k, r, s)
-                    shift = algebra.degree(mono, n)
-                    base = reps.grade_index(params, k, r)
-                    image = reps.act(x, v)
-                    bad = any(
-                        reps.grade_index(params, k2, r2) != base + shift
-                        for (k2, r2, _s2) in image.entries
-                    )
-                    head = f"n={n} family={family.value} m={m}"
-                    yield _witness(head, x=x, v=v) if bad else None
+@_sampled("module_grading", _modules(*_FAMILIES))
+def _module_grading(cfg, rng, params):
+    n = params.rank
+    mono = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
+    x = AlgebraElement.term(n, *mono)
+    k = rng.randint(-cfg.i_bound, cfg.i_bound)
+    r = rng.randint(1, n)
+    s = rng.randint(1, params.m)
+    v = ModuleVector.basis(params, k, r, s)
+    shift = algebra.degree(mono, n)
+    base = reps.grade_index(params, k, r)
+    image = reps.act(x, v)
+    bad = any(
+        reps.grade_index(params, k2, r2) != base + shift for (k2, r2, _s2) in image.entries
+    )
+    return dict(x=x, v=v) if bad else None
 
 
-@_check("no_hw_lw")
-def _check_no_hw_lw(cfg, rng):
+def _extremal_boxes(n):
+    """The formal rank-n family-V module and the box generators of each sign."""
+    positive, negative = [], []
+    for d, mono in reps._generator_box(n, _EXTREMAL_I_BOUND, _EXTREMAL_J_BOUND):
+        if d:
+            (positive if d > 0 else negative).append(AlgebraElement.term(n, *mono))
+    return ModuleParams.formal(Family.V, n), positive, negative
+
+
+@_sampled("no_hw_lw", _ranks(_extremal_boxes))
+def _no_hw_lw(cfg, rng, box):
     # With a formal parameter no vector of the generic family-V module is
     # extremal: some bounded generator of positive grade and some of
     # negative grade must act nonzero on every homogeneous vector.
-    for n in cfg.ranks:
-        params = ModuleParams.formal(Family.V, n)
-        monos = [
-            Monomial(i, j, p, q)
-            for i in range(-_EXTREMAL_I_BOUND, _EXTREMAL_I_BOUND + 1)
-            for j in range(_EXTREMAL_J_BOUND + 1)
-            for p in range(1, n + 1)
-            for q in range(1, n + 1)
-        ]
-        positive = [AlgebraElement.term(n, *g) for g in monos if algebra.degree(g, n) > 0]
-        negative = [AlgebraElement.term(n, *g) for g in monos if algebra.degree(g, n) < 0]
-        for _ in range(cfg.samples):
-            k = rng.randint(-cfg.i_bound, cfg.i_bound)
-            r = rng.randint(1, n)
-            v = ModuleVector(params, {(k, r, 1): Poly((_sample_coeff(rng),))})
-            if not any(reps.act(g, v) for g in positive):
-                yield _witness(f"n={n}", v=v) + "; annihilated by the positive box"
-            elif not any(reps.act(g, v) for g in negative):
-                yield _witness(f"n={n}", v=v) + "; annihilated by the negative box"
-            else:
-                yield None
+    params, positive, negative = box
+    k = rng.randint(-cfg.i_bound, cfg.i_bound)
+    r = rng.randint(1, params.rank)
+    v = ModuleVector(params, {(k, r, 1): Poly((_sample_coeff(rng),))})
+    for sign, gens in (("positive", positive), ("negative", negative)):
+        if not any(reps.act(g, v) for g in gens):
+            return dict(v=v, note=f"annihilated by the {sign} box")
+    return None
 
 
 # ---------------------------------------------------------------------------

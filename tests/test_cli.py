@@ -180,6 +180,31 @@ class TestVerifyCommand:
             assert (code, out) == (2, "")
             assert "expected at least one check name" in err
 
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            ((), {}),
+            (("--seed", "3", "--n", "1"), {"seed": 3, "ranks": (1,)}),
+            (
+                ("--m", "2", "--samples", "9", "--i-bound", "1", "--j-bound", "0"),
+                {"m_values": (2,), "samples": 9, "i_bound": 1, "j_bound": 0},
+            ),
+            (("--checks", "no_hw_lw"), {"checks": ("no_hw_lw",)}),
+        ],
+    )
+    def test_flags_not_given_keep_the_suite_defaults(self, capsys, monkeypatch, argv, config):
+        import mdop.verify as verify_module
+
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            return verify_module.Report(config=cfg)
+
+        monkeypatch.setattr(verify_module, "run_suite", capture)
+        assert run_cli(capsys, "verify", *argv)[0] == 0
+        assert seen == [verify_module.SuiteConfig(**config)]
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         import mdop.algebra as algebra_module
 
@@ -194,6 +219,30 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+class TestRenderOnlyTheRequestedFormat:
+    @staticmethod
+    def _broken(*args):
+        raise AssertionError("the form not asked for was built")
+
+    def test_text_builds_no_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(expr, "element_to_json", self._broken)
+        assert run_cli(capsys, "bracket", "--n", "1", "D", "t") == (0, "t\n", "")
+
+    def test_json_builds_no_text(self, capsys, monkeypatch):
+        expected = expr.element_to_json(expr.parse_element("t", 1))
+        monkeypatch.setattr(expr, "format_element", self._broken)
+        code, out, err = run_cli(capsys, "bracket", "--n", "1", "--format", "json", "D", "t")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == expected
+
+    def test_components_render_one_form(self, capsys, monkeypatch):
+        monkeypatch.setattr(expr, "element_to_json", self._broken)
+        assert run_cli(capsys, "degree", "--n", "1", "t + D")[0] == 0
+        monkeypatch.undo()
+        monkeypatch.setattr(expr, "format_element", self._broken)
+        assert run_cli(capsys, "degree", "--n", "1", "--format", "json", "t + D")[0] == 0
 
 
 class TestExitCodes:

@@ -326,6 +326,59 @@ class TestExtremalVectors:
         with pytest.raises(ValueError):
             is_highest_weight_vector(ModuleVector.zero(formal()), 1, 1)
 
+    @staticmethod
+    def _full_scan(v, j_bound, i_bound, direction):
+        # Every generator of the box is applied, whatever its grade: one of
+        # grade 0 must keep the basis vector's slot, one of grade with the
+        # sign of direction must kill it.
+        n = v.params.rank
+        for i in range(-i_bound, i_bound + 1):
+            for j in range(j_bound + 1):
+                for p in range(1, n + 1):
+                    for q in range(1, n + 1):
+                        d = i * n + p - q
+                        image = act(AlgebraElement.term(n, i, j, p, q), v)
+                        if d == 0 and set(image.entries) - set(v.entries):
+                            return False
+                        if d * direction > 0 and image:
+                            return False
+        return True
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("lam", [None, 0, Fraction(3, 2)])
+    @pytest.mark.parametrize("i_bound,j_bound", [(0, 2), (2, 2)])
+    def test_verdicts_match_full_scan_and_skip_the_wrong_sign(
+        self, monkeypatch, family, rank, lam, i_bound, j_bound
+    ):
+        import mdop.algebra as algebra_module
+        import mdop.reps as reps_module
+
+        if lam is None:
+            params = ModuleParams.formal(family, rank)
+        else:
+            params = ModuleParams.specialized(family, rank, 1, lam)
+        cases = [
+            ModuleVector.basis(params, k, r) for k in range(-2, 3) for r in range(1, rank + 1)
+        ]
+        expected = [
+            [self._full_scan(v, j_bound, i_bound, sign) for sign in (1, -1)] for v in cases
+        ]
+        grades = []
+
+        def recording_act(x, vec):
+            grades.extend(algebra_module.degree(m, x.rank) for m in x.terms)
+            return act(x, vec)
+
+        monkeypatch.setattr(reps_module, "act", recording_act)
+        for v, want in zip(cases, expected):
+            grades.clear()
+            assert reps_module.is_highest_weight_vector(v, j_bound, i_bound) == want[0]
+            assert min(grades) >= 0
+            grades.clear()
+            assert reps_module.is_lowest_weight_vector(v, j_bound, i_bound) == want[1]
+            assert max(grades) <= 0
+
     def test_multi_entry_eigenvector_detection(self):
         # v[0,1] + v[0,2] is scaled by the identity but separated by E[1,1].
         params = formal(Family.V, 2)

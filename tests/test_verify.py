@@ -1,16 +1,20 @@
 """Verification suite plumbing: determinism, sampling, report shape."""
 
 import json
+import math
 import random
 
 import pytest
 
+from mdop import expr
 from mdop.algebra import Monomial
+from mdop.reps import Family, ModuleParams
 from mdop.verify import (
     SuiteConfig,
     available_checks,
     run_suite,
     sample_element,
+    sample_module_vector,
     sample_monomial,
 )
 
@@ -26,6 +30,49 @@ class TestSampling:
         rng = random.Random(0)
         for _ in range(20):
             assert sample_monomial(rng, 1, 0, 0) == Monomial(0, 0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "seed,vectors,next_bits",
+        [
+            (
+                5,
+                [
+                    "(-a + 2)*v[-3,1,1] - 2/3*v[-1,2,1] + 1/2*v[1,1,1]",
+                    "-3*v[3,2]",
+                    "(1/2a - 3/2)*v[-2,1,3] + (-3a - 2)*v[1,1,1] + (-2/3a + 1)*v[3,1,2]",
+                ],
+                1782010769,
+            ),
+            (
+                2026,
+                [
+                    "2/3*v[-1,1,1]",
+                    "(-3/2a - 1)*v[-2,1] + v[3,3]",
+                    "(2/3a - 1/2)*v[1,1,3] + (-1/2a + 1/3)*v[2,1,1]",
+                ],
+                1964723331,
+            ),
+        ],
+    )
+    def test_golden_first_vector_draws(self, seed, vectors, next_bits):
+        # The draws and the generator state after them are pinned: the
+        # default suite and the benchmark's act/pair inputs depend on both.
+        rng = random.Random(seed)
+        shapes = ((Family.V, 2, 2), (Family.VBAR, 3, 1), (Family.V, 1, 3))
+        drawn = [
+            sample_module_vector(rng, ModuleParams.formal(family, n, m), 3)
+            for family, n, m in shapes
+        ]
+        assert [expr.format_module_vector(v) for v in drawn] == vectors
+        assert rng.getrandbits(32) == next_bits
+
+    def test_vector_draws_are_in_normal_form(self):
+        rng = random.Random(3)
+        params = ModuleParams.formal(Family.VBAR, 2, 2)
+        for _ in range(300):
+            for c in sample_module_vector(rng, params, 1).entries.values():
+                assert c.nums and c.nums[-1] and c.den > 0
+                assert math.gcd(c.den, *c.nums) == 1
 
     def test_same_seed_same_sequence(self):
         a = random.Random(99)
@@ -72,6 +119,31 @@ class TestRunSuite:
             solo_row.samples,
             solo_row.passed,
         )
+
+    def test_sample_counts_at_a_non_default_config(self):
+        # Cases per check: a rank, or a rank x family x Jordan size, each
+        # run for cfg.samples trials; the exhaustive checks count their cells.
+        cfg = SuiteConfig(ranks=(1, 3), m_values=(1, 3), samples=4, i_bound=2)
+        counts = {r.name: r.samples for r in run_suite(cfg).results}
+        per_rank = dict.fromkeys(
+            (
+                "antisymmetry", "associativity", "cocycle_identity", "falling_agreement",
+                "grading_additivity", "jacobi_central", "jacobi_plain", "no_hw_lw",
+                "pairing_contravariance", "sigma_bracket", "sigma_involution",
+                "twist_action",
+            ),
+            8,
+        )
+        assert counts == {
+            **per_rank,
+            "module_axiom_V": 16,
+            "module_axiom_Vbar": 16,
+            "module_grading": 32,
+            "grade_bijection": 1212,
+            "matrix_unit_bracket": 82,
+            "sigma_identity_sign": 2,
+            "vector_field_bracket": 50,
+        }
 
     def test_json_shape(self):
         report = run_suite(SuiteConfig(ranks=(1,), samples=2, checks=("antisymmetry",)))
