@@ -7,15 +7,18 @@ multiple of the central generator C.  Two bases are supported:
   * the power basis, with j counting D^j (canonical internally), and
   * the falling basis, with j counting [D]_j = D(D-1)...(D-j+1)
     = t^j (d/dt)^j, in which the defining 2-cocycle of the central
-    extension has a closed form.
+    extension has a closed form on each pair of words.
 
 All operations are pure and exact.  An element stores integer numerators
 under plain tuple keys (i, j, p, q) over one denominator, in the normal
 form of Poly; each operation loops on those integers and normalises its
-result by one gcd pass (_from_ints).  Products and the cocycle visit only
-the pairs of words whose matrix slots match, and a product adds the
-contributions of a pair into one row (i, p, q) of numerators indexed by
-the D power (_product_rows).
+result by one gcd pass (_from_ints, or _from_rows for product rows).
+Products and the cocycle visit only the pairs of words whose matrix slots
+match, and a product adds the contributions of a pair into one row
+(i, p, q) of numerators indexed by the D power (_product_rows).  The
+power-basis cocycle evaluates the D-polynomial of each row (i, p, q) at
+|i| integer points (the Kac-Radul closed form); the falling-basis bracket
+keeps the per-word weights of _psi_weight, so the two are independent.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
@@ -56,9 +60,16 @@ def _product_rows(na: Mapping, nb: Mapping) -> defaultdict:
     return defaultdict(lambda: [0] * width)
 
 
-def _cells(rows: Mapping):
-    # The nonzero ((i, j, p, q), n) of product rows.
-    return (((i, j, p, q), n) for (i, p, q), row in rows.items() for j, n in enumerate(row) if n)
+def _from_rows(rows: Mapping, den: int) -> tuple[dict, int]:
+    """Normal form (nums, den) of product rows (i, p, q) -> numerators by D power, over den > 0."""
+    g = math.gcd(den, *chain.from_iterable(rows.values()))
+    nums = {
+        (i, j, p, q): n if g == 1 else n // g
+        for (i, p, q), row in rows.items()
+        for j, n in enumerate(row)
+        if n
+    }
+    return nums, den // g
 
 
 class Monomial(NamedTuple):
@@ -244,8 +255,9 @@ def _add_products(rows: dict, na: Mapping, nb: Mapping, sign: int, falling: bool
         partners.setdefault(p, []).append((k, l, q, c))
     expansion = _falling_expansion if falling else _product_expansion
     for (i, j, p, q), ca in na.items():
+        ca *= sign
         for k, l, q2, cb in partners.get(q, ()):
-            c = sign * ca * cb
+            c = ca * cb
             row = rows[i + k, p, q2]
             for u, w in expansion(j, k + l if falling else k):
                 row[u + l] += c * w
@@ -262,7 +274,7 @@ def canonical_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     na, nb = a.nums, b.nums
     rows = _product_rows(na, nb)
     _add_products(rows, na, nb, 1)
-    return AlgebraElement._raw(a.rank, _from_ints(_cells(rows), a.den * b.den), _ZERO)
+    return AlgebraElement._raw(a.rank, _from_rows(rows, a.den * b.den), _ZERO)
 
 
 def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -272,7 +284,7 @@ def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     rows = _product_rows(na, nb)
     _add_products(rows, na, nb, 1)
     _add_products(rows, nb, na, -1)
-    return AlgebraElement._raw(a.rank, _from_ints(_cells(rows), a.den * b.den), _ZERO)
+    return AlgebraElement._raw(a.rank, _from_rows(rows, a.den * b.den), _ZERO)
 
 
 def _change_basis(nums: Mapping, table) -> dict:
@@ -334,17 +346,45 @@ def _psi_total(cells_a, cells_b) -> int:
     return total
 
 
+def _d_polys(nums: Mapping) -> dict:
+    # The words grouped by (i, p, q): each group's D-polynomial as (j, c) pairs.
+    groups: dict = {}
+    for (i, j, p, q), c in nums.items():
+        groups.setdefault((i, p, q), []).append((j, c))
+    return groups
+
+
+def _psi_points(r: int) -> range:
+    """The points x = -r, ..., -1 of the closed form at t power r > 0."""
+    return range(-r, 0)
+
+
+def _psi_closed(f, g, r: int) -> int:
+    # Sum of f(x) g(x + r) over _psi_points(r); f, g are (j, c) pairs.
+    return sum(
+        sum(c * x**j for j, c in f) * sum(c * (x + r) ** l for l, c in g)
+        for x in _psi_points(r)
+    )
+
+
 def cocycle_psi(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     """The defining 2-cocycle of the central extension.
 
-    Both arguments are rewritten into the falling basis, where the cocycle
-    acts on matching basis pairs through _psi_weight; central parts of the
-    inputs contribute nothing.
+    In the Kac-Radul closed form: for r > 0,
+    psi(t^r f(D) A, t^-r g(D) B) = tr(AB) sum_{x=-r}^{-1} f(x) g(x+r),
+    antisymmetric for r < 0 and zero unless the t powers cancel.  A group
+    (i, p, q) of a meets only the group (-i, q, p) of b; central parts of
+    the inputs contribute nothing.
     """
     _check_pair(a, b, AlgebraElement)
-    fa = _change_basis(a.nums, power_to_falling_coeffs)
-    fb = _change_basis(b.nums, power_to_falling_coeffs)
-    return Fraction(_psi_total(fa.items(), fb.items()), a.den * b.den)
+    gb = _d_polys(b.nums)
+    total = 0
+    for (i, p, q), f in _d_polys(a.nums).items():
+        g = gb.get((-i, q, p))
+        if g is None or not i:
+            continue
+        total += _psi_closed(f, g, i) if i > 0 else -_psi_closed(g, f, -i)
+    return Fraction(total, a.den * b.den)
 
 
 def central_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -372,7 +412,7 @@ def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingEleme
     _add_products(rows, nb, na, -1, falling=True)
     den = a.den * b.den
     central = Fraction(_psi_total(na.items(), nb.items()), den)
-    return FallingElement._raw(a.rank, _from_ints(_cells(rows), den), central)
+    return FallingElement._raw(a.rank, _from_rows(rows, den), central)
 
 
 def homogeneous_components(a: AlgebraElement) -> dict[int, AlgebraElement]:

@@ -30,12 +30,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
+    # argparse prefixes a refusal here with the flag ("argument --n: ..."),
+    # so nonpositive ranks and Jordan sizes are refused in the user's terms.
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
     return values
 
 
@@ -239,8 +243,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # Input keeps the interpreter's cap on the digits of an int read from
+    # text (Python 3.10.7+); an exact result is printed in full.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         value = args.func(args)
+        if digits:
+            sys.set_int_max_str_digits(0)
         text = _render(value, args.format == "json")
     except ValueError as exc:  # ParseError and DimensionError included
         print(f"error: {exc}", file=sys.stderr)
@@ -249,6 +258,9 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     print(text)
     return 0 if getattr(value, "passed", True) else 1  # only a verify Report has .passed
 

@@ -39,6 +39,11 @@ _POLY_ONE = Poly.const(1)
 # README "Resource limits" gives the measured cost of calls at the limit.
 MAX_D_POWER = 1200
 
+# The highest |t power| of one term.  A cocycle or bracket of two words
+# whose t powers cancel costs in proportion to that power; README
+# "Resource limits" gives the measured cost at the limit.
+MAX_T_POWER = 1200
+
 
 class ParseError(ValueError):
     """Syntax or range error in a surface expression."""
@@ -184,6 +189,7 @@ def _parse_matrix_ref(ts: _TokenStream, rank: int) -> tuple[int, int]:
 
 def _parse_term(ts: _TokenStream, rank: int):
     """One additive term.  Returns (central_coeff | None, {Monomial: Fraction})."""
+    start = ts.peek().pos
     coeff = _parse_coefficient(ts)
     i = 0
     j_power = 0
@@ -221,6 +227,8 @@ def _parse_term(ts: _TokenStream, rank: int):
             raise ParseError(f"D power of a term above the limit {MAX_D_POWER}", pos)
         saw_atom = True
         ts.accept_op("*")
+    if abs(i) > MAX_T_POWER:
+        raise ParseError(f"t power of a term above the limit {MAX_T_POWER}", start)
     if coeff is None:
         if not saw_atom:
             ts.error("expected a coefficient or an atom")

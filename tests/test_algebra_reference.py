@@ -11,6 +11,10 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
+import mdop.algebra as algebra_module
+
 from mdop.algebra import (
     AlgebraElement,
     FallingElement,
@@ -82,10 +86,13 @@ def _ref_psi_pair(ma, mb):
 
 
 def ref_psi_falling(fa, fb):
-    return sum(
-        (ca * cb * _ref_psi_pair(ma, mb) for ma, ca in fa.items() for mb, cb in fb.items()),
-        Fraction(0),
-    )
+    total = Fraction(0)
+    for ma, ca in fa.items():
+        for mb, cb in fb.items():
+            w = _ref_psi_pair(ma, mb)
+            if w:
+                total += ca * cb * w
+    return total
 
 
 def ref_psi(a, b):
@@ -217,3 +224,69 @@ def test_cancelling_cases_reach_zero():
     a = _element(random.Random(3), 3, size=12)
     assert not central_bracket(a, a)
     assert not bracket_falling_direct(to_falling(a), to_falling(a))
+
+
+# The power-basis cocycle is the Kac-Radul closed form, evaluated at |i|
+# integer points; ref_psi goes through the falling basis word by word.
+
+
+def test_cocycle_on_every_small_rank_one_word_pair():
+    # Every pair of words t^i D^j, t^k D^l with |i|, |k| <= 6 and j, l <= 6.
+    words = [AlgebraElement.term(1, i, j, 1, 1) for i in range(-6, 7) for j in range(7)]
+    falling = [ref_change(w.terms, power_to_falling_coeffs) for w in words]
+    for a, fa in zip(words, falling):
+        for b, fb in zip(words, falling):
+            assert cocycle_psi(a, b) == ref_psi_falling(fa, fb)
+
+
+@pytest.mark.parametrize(
+    "size,i_values,pairs", [(None, range(-3, 4), 300), (30, range(-4, 5), 12)], ids=["1-3", "30"]
+)
+def test_cocycle_on_random_pairs(size, i_values, pairs):
+    rng = random.Random(9)
+    for n in range(pairs):
+        rank = 1 + n % 3
+        count = rng.randint(1, 3) if size is None else size
+        a = _element(rng, rank, size=count, i_values=i_values)
+        b = _element(rng, rank, size=count, i_values=i_values)
+        assert cocycle_psi(a, b) == ref_psi(a, b)
+
+
+def test_cocycle_is_antisymmetric_at_negative_t_powers():
+    # a holds only words of negative t power, so its groups take the swapped branch.
+    rng = random.Random(10)
+    for n in range(60):
+        rank = 1 + n % 3
+        a = _element(rng, rank, size=rng.randint(1, 6), i_values=range(-5, 0))
+        b = _element(rng, rank, size=rng.randint(1, 6), i_values=range(1, 6))
+        psi = cocycle_psi(a, b)
+        assert psi == ref_psi(a, b) == -cocycle_psi(b, a)
+
+
+def test_cocycle_agrees_with_the_falling_bracket_on_high_words():
+    a = AlgebraElement.term(1, -30, 60, 1, 1, Fraction(2, 3))
+    b = AlgebraElement.term(1, 30, 60, 1, 1, -5)
+    psi = cocycle_psi(a, b)
+    assert psi and psi == bracket_falling_direct(to_falling(a), to_falling(b)).central
+
+
+def test_the_two_cocycle_routes_share_no_weight(monkeypatch):
+    # cocycle_psi never leaves the power basis; the falling bracket keeps
+    # the per-word weights, so falling_agreement compares two routes.
+    def reached(*args):
+        raise AssertionError("the falling weights were reached")
+
+    a, b = next((a, b) for a, b in POWER_CASES if cocycle_psi(a, b))
+    expected = cocycle_psi(a, b)
+    for name in ("_change_basis", "_psi_weight", "_psi_total", "power_to_falling_coeffs"):
+        monkeypatch.setattr(algebra_module, name, reached)
+    assert cocycle_psi(a, b) == expected
+    monkeypatch.undo()
+    calls = []
+    total = algebra_module._psi_total
+    monkeypatch.setattr(
+        algebra_module, "_psi_total", lambda *args: calls.append(args) or total(*args)
+    )
+    fa, fb = to_falling(a), to_falling(b)
+    assert bracket_falling_direct(fa, fb).central == expected
+    assert len(calls) == 1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -294,6 +295,32 @@ class TestExitCodes:
             assert err.startswith(f"error: D power of a term above the limit {expr.MAX_D_POWER}")
             assert err.count("\n") == 1
 
+    def test_t_power_above_limit_is_refused_before_kernel_work(self, capsys, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the kernel was reached")
+
+        for name in ("cocycle_psi", "central_bracket"):
+            monkeypatch.setattr(algebra, name, reached)
+        top = expr.MAX_T_POWER
+        for argv in (
+            ("cocycle", "--n", "1", "--", f"t^-{top + 1} D^1200", f"t^{top + 1} D^1200"),
+            ("bracket", "--n", "1", "--", "D", f"t^{top} t"),
+            ("bracket", "--n", "1", "--", "t^-99999999999", "t"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: t power of a term above the limit {top}")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--n", "--m"])
+    @pytest.mark.parametrize("value", ["0", "1,0", "-2"])
+    def test_verify_refusal_names_the_flag(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: argument {flag}: expected positive integers, got {value!r}\n"
+
     def test_internal_error_is_three(self, capsys, monkeypatch):
         # A fault of the program is neither a refusal (2) nor a failed check (1).
         def broken(*args):
@@ -309,18 +336,62 @@ class TestExitCodes:
         assert run_cli(capsys, "--help")[0] == 0
 
 
-def test_module_entry_point():
+def _run_module(*argv, timeout=None):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "mdop", "bracket", "--n", "1", "D", "t"],
+    return subprocess.run(
+        [sys.executable, "-m", "mdop", *argv],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
+
+
+def test_module_entry_point():
+    proc = _run_module("bracket", "--n", "1", "D", "t")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "t"
+
+
+@pytest.fixture
+def all_digits():
+    # Reading the printed values back needs more digits than the interpreter's cap.
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield cap
+    sys.set_int_max_str_digits(cap)
+
+
+class TestCancellingHighWords:
+    # Two words t^-r D^1200 and t^r D^1200: the cocycle sums over r points,
+    # and its value has thousands of digits, printed in full.
+
+    @staticmethod
+    def _psi(r):
+        return -sum(x**1200 * (x + r) ** 1200 for x in range(-r, 0))
+
+    @pytest.mark.parametrize("r", [600, expr.MAX_T_POWER])
+    def test_cocycle(self, all_digits, r):
+        proc = _run_module("cocycle", "--n", "1", "--", f"t^-{r} D^1200", f"t^{r} D^1200", timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert int(proc.stdout) == self._psi(r)
+
+    def test_bracket_at_the_limit(self, all_digits):
+        r = expr.MAX_T_POWER
+        proc = _run_module("bracket", "--n", "1", "--", f"t^-{r} D^1200", f"t^{r} D^1200", timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        psi = self._psi(r)
+        assert psi < 0 and proc.stdout.endswith(f" - {-psi} C\n")
+
+    def test_the_digit_cap_on_input_is_restored(self, capsys):
+        cap = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "cocycle", "--n", "1", "--", "t^-200 D^1200", "t^200 D^1200")
+        assert code == 0 and len(out) > cap
+        assert sys.get_int_max_str_digits() == cap
+        code, _, err = run_cli(capsys, "cocycle", "--n", "1", "t", "9" * (cap + 1))
+        assert code == 2 and "limit" in err
 
 
 def _stirling_first_row(j):

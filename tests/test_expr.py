@@ -9,6 +9,7 @@ from mdop.algebra import AlgebraElement, FallingElement, Monomial, from_falling
 from mdop.exact import Poly
 from mdop.expr import (
     MAX_D_POWER,
+    MAX_T_POWER,
     ParseError,
     element_to_json,
     falling_element_to_json,
@@ -81,6 +82,20 @@ class TestParseElement:
                      "D^600 t D^601", "D^20000", "FD^20000"):
             with pytest.raises(ParseError, match=f"D power of a term above the limit {top}"):
                 parse_element(text, 1)
+
+    def test_t_power_limit(self):
+        # The t power of the whole term counts, whichever atoms make it up.
+        top = MAX_T_POWER
+        assert top >= 1200
+        for i in (top, -top):
+            assert parse_element(f"t^{i} D", 1) == AlgebraElement.term(1, i, 1, 1, 1)
+        assert parse_element(f"t^{top + 1} t^-1", 1) == AlgebraElement.term(1, top, 0, 1, 1)
+        for text in (f"t^{top + 1}", f"t^-{top + 1} D", f"t^{top} t", f"D + 2 t^{top} t^{top}"):
+            with pytest.raises(ParseError, match=f"t power of a term above the limit {top}"):
+                parse_element(text, 1)
+        with pytest.raises(ParseError) as info:
+            parse_element(f"D + 2 t^{top} t", 1)
+        assert info.value.position == 4
 
     def test_central_cannot_mix(self):
         with pytest.raises(ParseError, match="cannot be combined"):

@@ -18,12 +18,23 @@ from mdop.verify import SuiteConfig, available_checks, run_suite
 CFG = SuiteConfig(ranks=(1, 2), samples=40, seed=11, m_values=(1, 2))
 
 _ORIG_PSI = algebra.cocycle_psi
+_ORIG_ADD_PRODUCTS = algebra._add_products
 _ORIG_GRADE = reps.grade_index
 _ORIG_ACT = reps.act
 
 
 def _negated_cocycle(a, b):
     return -_ORIG_PSI(a, b)
+
+
+def _psi_points_past_zero(r):
+    # The closed form summed over x = -r, ..., 0: one point too many.
+    return range(-r, 1)
+
+
+def _unsigned_products(rows, na, nb, sign, falling=False):
+    # Every product added with sign +1, so a commutator becomes ab + ba.
+    _ORIG_ADD_PRODUCTS(rows, na, nb, 1, falling)
 
 
 def _truncated_expansion(j, k):
@@ -77,9 +88,26 @@ MUTATIONS = [
         {"falling_agreement", "vector_field_bracket"},
     ),
     (
+        # Only the falling-basis bracket reads the parity; the power-basis
+        # cocycle is the closed form, so the two routes disagree.
         "cocycle_parity_dropped",
         algebra, "_psi_parity", lambda j: 1,
-        {"antisymmetry", "cocycle_identity", "jacobi_central", "vector_field_bracket"},
+        {"falling_agreement", "vector_field_bracket"},
+    ),
+    (
+        # The closed form is antisymmetric by construction, so antisymmetry holds.
+        "cocycle_range_off_by_one",
+        algebra, "_psi_points", _psi_points_past_zero,
+        {"cocycle_identity", "falling_agreement", "jacobi_central", "vector_field_bracket"},
+    ),
+    (
+        # Both bracket routes lose the sign alike, so falling_agreement holds.
+        "commutator_sign_dropped",
+        algebra, "_add_products", _unsigned_products,
+        {
+            "antisymmetry", "jacobi_central", "jacobi_plain", "matrix_unit_bracket",
+            "module_axiom_V", "module_axiom_Vbar", "sigma_bracket", "vector_field_bracket",
+        },
     ),
     (
         "product_sum_truncated",
