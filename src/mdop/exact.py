@@ -14,7 +14,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Mapping
 
 # The base scalar type.  Fraction already maintains the canonical form we
 # need: reduced, positive denominator, zero stored as 0/1.
@@ -155,6 +156,21 @@ def _reduced(nums: list[int], den: int) -> "Poly":
     poly.nums = tuple(nums)
     poly.den = den
     return poly
+
+
+def _reduced_rows(rows: Mapping, den: int) -> tuple[dict, int]:
+    # Normal form (rows, den) of key -> numerators (ascending power) over den > 0: trailing
+    # zeros popped in place (from list rows), empty rows dropped, one gcd over all numerators.
+    for row in rows.values():
+        while row and not row[-1]:
+            row.pop()
+    g = math.gcd(den, *chain.from_iterable(rows.values()))
+    nums = {
+        key: tuple(row) if g == 1 else tuple(c // g for c in row)
+        for key, row in rows.items()
+        if row
+    }
+    return nums, den // g
 
 
 class Poly:

@@ -23,6 +23,7 @@ so the zero vector, printed as 0, parses back.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -115,7 +116,11 @@ class _TokenStream:
         if tok.kind != "INT":
             raise ParseError(f"expected {what}", tok.pos)
         self.advance()
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's digit cap
+            limit = f"{len(tok.text)} digits exceeds the digit limit {sys.get_int_max_str_digits()}"
+            raise ParseError(f"integer literal of {limit}", tok.pos) from None
 
     def expect_end(self) -> None:
         tok = self.peek()
@@ -140,7 +145,7 @@ def _parse_coefficient(ts: _TokenStream) -> Fraction | None:
     """The optional rational that opens a term, with the '*' after it."""
     if ts.peek().kind != "INT":
         return None
-    num, den = int(ts.advance().text), 1
+    num, den = ts.expect_int(), 1
     if ts.accept_op("/"):
         pos = ts.peek().pos
         den = ts.expect_int("a denominator")

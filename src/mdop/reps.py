@@ -7,7 +7,10 @@ size m replaces the scalar module parameter by an indecomposable
 transformation; the central generator acts as zero on every family.
 
 A vector is a finite-support map (k, r, s) -> Poly, where k shifts the
-parameter exponent, r picks the matrix slot, and s the Jordan slot.
+parameter exponent, r picks the matrix slot, and s the Jordan slot.  Like
+an element, it is stored as integer numerators over one denominator (nums,
+den), here a tuple per slot in ascending powers of the parameter; act,
+pairing and the arithmetic loop on them, and .entries builds Polys per read.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Mapping
 
 from . import algebra
 from .algebra import AlgebraElement, Monomial, embed_scalar
-from .exact import DimensionError, Poly, _jordan_power_cached, _reduced
+from .exact import DimensionError, Poly, _convolve, _jordan_power_cached, _reduced, _reduced_rows
 
 _POLY_ZERO = Poly(())
 _POLY_ONE = Poly.const(1)
@@ -95,9 +98,11 @@ class ModuleParams(_Record):
 
 
 class ModuleVector:
-    """Finite-support module vector with Poly coefficients."""
+    """Finite-support module vector with Poly coefficients, stored as nums, (k, r, s) ->
+    nonempty int tuple without trailing zero, over den > 0 with gcd(den, *all nums) = 1;
+    .entries builds the Polys on each read."""
 
-    __slots__ = ("params", "entries")
+    __slots__ = ("params", "nums", "den")
 
     def __init__(self, params: ModuleParams, entries: Mapping = ()):
         table: dict[tuple[int, int, int], Poly] = {}
@@ -112,14 +117,17 @@ class ModuleVector:
                 raise TypeError("entries must be exact scalars or Poly")
             if poly:
                 table[(int(k), r, s)] = poly
+        den = math.lcm(*[c.den for c in table.values()])
         self.params = params
-        self.entries = table
+        self.nums = {key: tuple(n * (den // c.den) for n in c.nums) for key, c in table.items()}
+        self.den = den
 
     @classmethod
-    def _raw(cls, params: ModuleParams, entries: dict) -> ModuleVector:
+    def _raw(cls, params: ModuleParams, normal: tuple[dict, int]) -> ModuleVector:
+        # Internal fast path: normal is (nums, den) as _reduced_rows returns it.
         v = object.__new__(cls)
         v.params = params
-        v.entries = entries
+        v.nums, v.den = normal
         return v
 
     @staticmethod
@@ -128,46 +136,54 @@ class ModuleVector:
 
     @classmethod
     def zero(cls, params: ModuleParams) -> ModuleVector:
-        return cls._raw(params, {})
+        return cls._raw(params, ({}, 1))
+
+    @property
+    def entries(self) -> dict[tuple[int, int, int], Poly]:
+        return {key: _reduced(list(row), self.den) for key, row in self.nums.items()}
 
     def sorted_entries(self) -> list[tuple[tuple[int, int, int], Poly]]:
         return sorted(self.entries.items())
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        return self.params == other.params and self.entries == other.entries
+        return self.params == other.params and self.den == other.den and self.nums == other.nums
 
-    def __add__(self, other: ModuleVector) -> ModuleVector:
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        # self + sign * other
         if not isinstance(other, ModuleVector):
             return NotImplemented
         if self.params != other.params:
             raise DimensionError("module parameters differ")
-        merged = dict(self.entries)
-        for key, c in other.entries.items():
-            merged[key] = merged[key] + c if key in merged else c
-        return ModuleVector._raw(self.params, {k: c for k, c in merged.items() if c})
-
-    def __sub__(self, other: ModuleVector) -> ModuleVector:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self + (-other)
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * self.den // g
+        out = {key: [c * fa for c in row] for key, row in self.nums.items()}
+        for key, row in other.nums.items():
+            acc = out.setdefault(key, [])
+            acc.extend([0] * (len(row) - len(acc)))
+            for idx, c in enumerate(row):
+                acc[idx] += c * fb
+        return ModuleVector._raw(self.params, _reduced_rows(out, self.den * fa))
 
     def __neg__(self) -> ModuleVector:
-        return ModuleVector._raw(self.params, {k: -c for k, c in self.entries.items()})
+        return self * -1
 
     def __mul__(self, scalar):
         poly = Poly._coerce(scalar)
         if poly is None:
             return NotImplemented
-        if not poly:
-            return ModuleVector._raw(self.params, {})
-        return ModuleVector._raw(
-            self.params, {k: c * poly for k, c in self.entries.items()}
-        )
+        out = {key: _convolve(row, poly.nums) for key, row in self.nums.items()}
+        return ModuleVector._raw(self.params, _reduced_rows(out, self.den * poly.den))
 
     __rmul__ = __mul__
 
@@ -185,8 +201,9 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
     (param+shift)*id + J raised to the j-th power, J the upper-shift
     nilpotent: it sends Jordan slot s to slot s-d with weight band[d], the
     band of jordan_shifted_power.  The central coefficient of x acts as zero.
-    The sums run on integer numerators, each band row over param.den ** j_max
-    (j_max the highest D power in x), and each output entry is reduced once.
+    The sums run on the integer numerators of x and v, each band row over
+    param.den ** j_max (j_max the highest D power in x), and the output is
+    normalised by one gcd pass.
     """
     if not isinstance(x, AlgebraElement):
         raise TypeError("operators act through AlgebraElement values")
@@ -196,13 +213,12 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
     twisted = params.family is Family.VBAR
     m = params.m
     pnums, pden = params.param.nums, params.param.den
-    vden = math.lcm(*[c.den for c in v.entries.values()])
     slots: dict[int, list] = {}
-    for (k, r, s), c in v.entries.items():
-        slots.setdefault(r, []).append((k, s, [n * (vden // c.den) for n in c.nums]))
+    for (k, r, s), cv in v.nums.items():
+        slots.setdefault(r, []).append((k, s, cv))
     j_max = max([key[1] for key in x.nums], default=0)
     lifts = [pden**e for e in range(j_max + 1)]
-    width = max(map(len, (c.nums for c in v.entries.values())), default=0)
+    width = max(map(len, v.nums.values()), default=0)
     width += (max(len(pnums), 1) - 1) * j_max
     out: dict[tuple[int, int, int], list] = {}
     for (i, j, p, q), cx in x.nums.items():
@@ -222,9 +238,7 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
                     c = w * ca
                     for b, cb in enumerate(row):
                         acc[a + b] += c * cb
-    den = x.den * vden * lifts[j_max]
-    polys = {key: _reduced(acc, den) for key, acc in out.items()}
-    return ModuleVector._raw(params, {key: c for key, c in polys.items() if c})
+    return ModuleVector._raw(params, _reduced_rows(out, x.den * v.den * lifts[j_max]))
 
 
 def grade_index(params: ModuleParams, k: int, r: int) -> int:
@@ -256,11 +270,12 @@ def residue_slice(v: ModuleVector, m0: int) -> ModuleVector:
     if not (0 <= m0 < n):
         raise ValueError(f"residue class {m0} out of range for rank {n}")
     kept = {
-        key: c
-        for key, c in v.entries.items()
+        key: row
+        for key, row in v.nums.items()
         if grade_index(v.params, key[0], key[1]) % n == m0
     }
-    return ModuleVector._raw(v.params, kept)
+    # The kept numerators alone may share a factor with den: renormalise.
+    return ModuleVector._raw(v.params, _reduced_rows(kept, v.den))
 
 
 def pairing(w: ModuleVector, v: ModuleVector) -> Poly:
@@ -278,12 +293,15 @@ def pairing(w: ModuleVector, v: ModuleVector) -> Poly:
         raise ValueError("pairing is defined for m = 1 only")
     if v.params.param != -w.params.param:
         raise ValueError("pairing partner must carry the negated parameter")
-    total = _POLY_ZERO
-    for (k, p, _s), cw in w.entries.items():
-        cv = v.entries.get((-k, p, 1))
+    vn, total = v.nums, []
+    for (k, p, _s), cw in w.nums.items():
+        cv = vn.get((-k, p, 1))
         if cv is not None:
-            total = total + cw * cv
-    return total
+            total.extend([0] * (len(cw) + len(cv) - 1 - len(total)))
+            for a, ca in enumerate(cw):
+                for b, cb in enumerate(cv):
+                    total[a + b] += ca * cb
+    return _reduced(total, w.den * v.den) if total else _POLY_ZERO
 
 
 class WeightRecord(_Record):
@@ -296,7 +314,7 @@ class WeightRecord(_Record):
 
 
 def _eigenvalue(image: ModuleVector, v: ModuleVector) -> Poly:
-    key = v.sorted_entries()[0][0]
+    key = min(v.nums)
     eig = image.entries.get(key, _POLY_ZERO)
     if image != eig * v:
         raise ValueError("generator does not act as a scalar on this vector")
@@ -323,18 +341,12 @@ def weight_of(params: ModuleParams, k: int, r: int) -> WeightRecord:
 
 
 def _is_poly_multiple(image: ModuleVector, v: ModuleVector) -> bool:
-    # image = c * v for some scalar in the fraction field, checked by
-    # cross-multiplication so no division is needed.
+    # image = c * v for some scalar c in the fraction field, checked by
+    # cross-multiplication with the entries at one slot, so no division is needed.
     if not image:
         return True
-    ref, vref = v.sorted_entries()[0]
-    wref = image.entries.get(ref, _POLY_ZERO)
-    for key in set(image.entries) | set(v.entries):
-        left = image.entries.get(key, _POLY_ZERO) * vref
-        right = wref * v.entries.get(key, _POLY_ZERO)
-        if left != right:
-            return False
-    return True
+    ref = min(v.nums)
+    return image * v.entries[ref] == v * image.entries.get(ref, _POLY_ZERO)
 
 
 def _generator_box(rank: int, i_bound: int, j_bound: int):

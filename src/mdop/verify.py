@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from . import algebra, expr, reps
 from .algebra import AlgebraElement, FallingElement, Monomial
-from .exact import Poly, _reduced, gen_binomial
+from .exact import Poly, _reduced_rows, gen_binomial
 from .reps import Family, ModuleParams, ModuleVector
 
 _FAMILIES = (Family.V, Family.VBAR)
@@ -115,23 +115,32 @@ class Report:
 # Samplers.  Everything below is fully determined by the passed-in rng.
 
 
+def _below(bits, n: int) -> int:
+    """Draw from range(n) by the calls to bits = rng.getrandbits that rng.randrange(n) makes."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample_word(bits, rank: int, i_bound: int, j_bound: int) -> tuple[int, int, int, int]:
+    i, j = _below(bits, 2 * i_bound + 1) - i_bound, _below(bits, j_bound + 1)
+    return i, j, _below(bits, rank) + 1, _below(bits, rank) + 1
+
+
 def sample_monomial(rng: random.Random, rank: int, i_bound: int, j_bound: int) -> Monomial:
     """Uniform draw from |i| <= i_bound, 0 <= j <= j_bound, p,q in [1,rank]."""
-    return Monomial(
-        rng.randint(-i_bound, i_bound),
-        rng.randint(0, j_bound),
-        rng.randint(1, rank),
-        rng.randint(1, rank),
-    )
+    return Monomial(*_sample_word(rng.getrandbits, rank, i_bound, j_bound))
 
 
-def _sample_num(rng: random.Random) -> int:
+def _sample_num(bits) -> int:
     """A small rational c/d (|c| <= 3, 1 <= d <= 3) as its numerator over 6 = lcm(1, 2, 3)."""
-    return rng.choice((-3, -2, -1, 1, 2, 3)) * 6 // rng.randint(1, 3)
+    return (-18, -12, -6, 6, 12, 18)[_below(bits, 6)] // (_below(bits, 3) + 1)
 
 
 def _sample_coeff(rng: random.Random) -> Fraction:
-    return Fraction(_sample_num(rng), 6)
+    return Fraction(_sample_num(rng.getrandbits), 6)
 
 
 def sample_element(
@@ -148,10 +157,11 @@ def sample_element(
     FallingElement to read j as a falling power.  The numerators are drawn
     over 6 and the element is built in normal form, bypassing validation.
     """
+    bits = rng.getrandbits
     nums: dict[tuple[int, int, int, int], int] = {}
-    for _ in range(rng.randint(1, 3)):
-        key = tuple(sample_monomial(rng, rank, i_bound, j_bound))
-        nums[key] = nums.get(key, 0) + _sample_num(rng)
+    for _ in range(_below(bits, 3) + 1):
+        key = _sample_word(bits, rank, i_bound, j_bound)
+        nums[key] = nums.get(key, 0) + _sample_num(bits)
     central = _sample_coeff(rng) if allow_central and rng.random() < 0.3 else 0
     return cls._raw(rank, algebra._from_ints(nums.items(), 6), central)
 
@@ -171,18 +181,15 @@ def sample_module_vector(
 ) -> ModuleVector:
     """Short random vector; coefficients are degree <= 1 in the parameter,
     drawn over 6 (the linear one first) and built in normal form."""
+    bits = rng.getrandbits
     nums: dict[tuple[int, int, int], list[int]] = {}
-    for _ in range(rng.randint(1, 3)):
-        key = (
-            rng.randint(-i_bound, i_bound),
-            rng.randint(1, params.rank),
-            rng.randint(1, params.m),
-        )
-        linear = _sample_num(rng) if rng.random() < 0.5 else 0
+    for _ in range(_below(bits, 3) + 1):
+        k = _below(bits, 2 * i_bound + 1) - i_bound
+        key = (k, _below(bits, params.rank) + 1, _below(bits, params.m) + 1)
+        linear = _sample_num(bits) if rng.random() < 0.5 else 0
         c0, c1 = nums.get(key, (0, 0))
-        nums[key] = [c0 + _sample_num(rng), c1 + linear]
-    polys = {key: _reduced(acc, 6) for key, acc in nums.items()}
-    return ModuleVector._raw(params, {key: c for key, c in polys.items() if c})
+        nums[key] = [c0 + _sample_num(bits), c1 + linear]
+    return ModuleVector._raw(params, _reduced_rows(nums, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +341,8 @@ def _twist_action(cfg, rng, params):
     params_v, params_b = params
     x = sample_element(rng, params_v.rank, cfg.i_bound, cfg.j_bound)
     vb = sample_module_vector(rng, params_b, cfg.i_bound)
-    v = ModuleVector(params_v, vb.entries)
-    bad = reps.act(x, vb).entries != reps.act(algebra.sigma(x), v).entries
+    image = reps.act(algebra.sigma(x), ModuleVector._raw(params_v, (vb.nums, vb.den)))
+    bad = reps.act(x, vb) != ModuleVector._raw(params_b, (image.nums, image.den))
     return dict(x=x, v=vb) if bad else None
 
 
@@ -432,7 +439,7 @@ def _module_grading(cfg, rng, params):
     base = reps.grade_index(params, k, r)
     image = reps.act(x, v)
     bad = any(
-        reps.grade_index(params, k2, r2) != base + shift for (k2, r2, _s2) in image.entries
+        reps.grade_index(params, k2, r2) != base + shift for (k2, r2, _s2) in image.nums
     )
     return dict(x=x, v=v) if bad else None
 

@@ -393,6 +393,16 @@ class TestCancellingHighWords:
         code, _, err = run_cli(capsys, "cocycle", "--n", "1", "t", "9" * (cap + 1))
         assert code == 2 and "limit" in err
 
+    def test_a_literal_past_the_digit_cap_is_one_line_with_its_column(self, capsys):
+        cap = sys.get_int_max_str_digits()
+        literal = "9" * (cap + 1)
+        code, out, err = run_cli(capsys, "bracket", "--n", "1", "t", f"D + {literal} t")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: integer literal of {cap + 1} digits exceeds the digit limit {cap} (column 5)\n"
+        )
+        assert "sys." not in err
+
 
 def _stirling_first_row(j):
     # Coefficients of x(x-1)...(x-j+1), multiplied out factor by factor.

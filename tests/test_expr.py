@@ -1,6 +1,7 @@
 """Surface syntax: parsing, printing, round-trips, JSON forms."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,34 @@ class TestParseElement:
         with pytest.raises(ParseError) as info:
             parse_element(f"D + 2 t^{top} t", 1)
         assert info.value.position == 4
+
+    def test_literal_past_the_digit_cap(self):
+        # Each place an integer is read: a coefficient, a denominator, an
+        # exponent, a matrix index and a vector slot.
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            big = "7" * 641
+            params = ModuleParams.formal(Family.V, 1)
+            for text, column, parse in (
+                (f"t + {big} D", 5, lambda t: parse_element(t, 2)),
+                (f"t + 1/{big}", 7, lambda t: parse_element(t, 2)),
+                (f"D t^-{big}", 6, lambda t: parse_element(t, 2)),
+                (f"E[1,{big}]", 5, lambda t: parse_element(t, 2)),
+                (f"({big}a + 1) v[0,1]", 2, lambda t: parse_module_vector(t, params)),
+                (f"v[{big},1]", 3, lambda t: parse_module_vector(t, params)),
+            ):
+                with pytest.raises(ParseError) as info:
+                    parse(text)
+                message = str(info.value)
+                assert info.value.position == column - 1
+                assert message == (
+                    f"integer literal of 641 digits exceeds the digit limit 640 (column {column})"
+                )
+                assert "sys." not in message
+            assert parse_element("7" * 640, 1) == AlgebraElement.term(1, 0, 0, 1, 1, int("7" * 640))
+        finally:
+            sys.set_int_max_str_digits(cap)
 
     def test_central_cannot_mix(self):
         with pytest.raises(ParseError, match="cannot be combined"):

@@ -75,7 +75,7 @@ class _AlgebraWithoutTwistSign:
 
 def _act_target_shifted(x, v):
     image = _ORIG_ACT(x, v)
-    return ModuleVector._raw(
+    return ModuleVector(
         image.params, {(k + 1, r, s): c for (k, r, s), c in image.entries.items()}
     )
 

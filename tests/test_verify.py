@@ -3,17 +3,21 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from mdop import expr
-from mdop.algebra import Monomial
-from mdop.reps import Family, ModuleParams
+from mdop.algebra import AlgebraElement, FallingElement, Monomial
+from mdop.exact import Poly
+from mdop.reps import Family, ModuleParams, ModuleVector
 from mdop.verify import (
     SuiteConfig,
+    _sample_coeff,
     available_checks,
     run_suite,
     sample_element,
+    sample_falling_element,
     sample_module_vector,
     sample_monomial,
 )
@@ -80,6 +84,70 @@ class TestSampling:
         draws_a = [sample_element(a, 2, 3, 3, allow_central=True) for _ in range(25)]
         draws_b = [sample_element(b, 2, 3, 3, allow_central=True) for _ in range(25)]
         assert draws_a == draws_b
+
+
+# The samplers as written with randint and choice, built through the public
+# constructors: the draws from getrandbits must match them call for call.
+
+
+def ref_monomial(rng, rank, i_bound, j_bound):
+    i, j = rng.randint(-i_bound, i_bound), rng.randint(0, j_bound)
+    return Monomial(i, j, rng.randint(1, rank), rng.randint(1, rank))
+
+
+def ref_coeff(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+
+def ref_element(rng, rank, i_bound, j_bound, allow_central, cls):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = ref_monomial(rng, rank, i_bound, j_bound)
+        terms[mono] = terms.get(mono, 0) + ref_coeff(rng)
+    central = ref_coeff(rng) if allow_central and rng.random() < 0.3 else 0
+    return cls(rank, terms, central)
+
+
+def ref_vector(rng, params, i_bound):
+    entries = {}
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(-i_bound, i_bound)
+        key = (k, rng.randint(1, params.rank), rng.randint(1, params.m))
+        linear = ref_coeff(rng) if rng.random() < 0.5 else 0
+        entries[key] = entries.get(key, Poly(())) + Poly((ref_coeff(rng), linear))
+    return ModuleVector(params, entries)
+
+
+def _draw_batch(rng, samplers, seed):
+    element, falling, monomial, coeff, vector = samplers
+    out = []
+    for n in (1, 2, 3):
+        i_bound, j_bound = seed % 4, (seed // 4) % 4
+        params = ModuleParams.formal((Family.V, Family.VBAR)[seed % 2], n, 1 + seed % 3)
+        for central in (False, True):
+            out.append(element(rng, n, i_bound, j_bound, central))
+            out.append(falling(rng, n, i_bound, j_bound, central))
+        out += [monomial(rng, n, i_bound, j_bound), coeff(rng), vector(rng, params, i_bound)]
+    return out
+
+
+class TestSamplersMatchRandint:
+    def test_same_draws_and_generator_state(self):
+        new = (
+            sample_element, sample_falling_element, sample_monomial, _sample_coeff,
+            sample_module_vector,
+        )
+        ref = (
+            lambda rng, *a: ref_element(rng, *a, AlgebraElement),
+            lambda rng, *a: ref_element(rng, *a, FallingElement),
+            ref_monomial,
+            ref_coeff,
+            ref_vector,
+        )
+        for seed in range(300):
+            rng_new, rng_ref = random.Random(seed), random.Random(seed)
+            assert _draw_batch(rng_new, new, seed) == _draw_batch(rng_ref, ref, seed)
+            assert rng_new.getstate() == rng_ref.getstate()
 
 
 class TestRunSuite:
