@@ -12,12 +12,13 @@ multiple of the central generator C.  Two bases are supported:
 All operations are pure and exact.  An element stores integer numerators
 under plain tuple keys (i, j, p, q) over one denominator, in the normal
 form of Poly; each operation loops on those integers and normalises its
-result by one gcd pass (_from_ints, or _from_rows for product rows).
+result by one gcd pass (_from_ints, or _from_rows for product rows); a
+change of basis keeps gcd 1, being an integer map with integer inverse.
 Products and the cocycle visit only the pairs of words whose matrix slots
 match, and a product adds the contributions of a pair into one row
 (i, p, q) of numerators indexed by the D power (_product_rows).  The
-power-basis cocycle evaluates the D-polynomial of each row (i, p, q) at
-|i| integer points (the Kac-Radul closed form); the falling-basis bracket
+power-basis cocycle evaluates the D-polynomial of each row by Horner's
+rule at |i| points (the Kac-Radul closed form); the falling-basis bracket
 keeps the per-word weights of _psi_weight, so the two are independent.
 """
 
@@ -35,9 +36,9 @@ from .exact import (
     CACHE_SIZE,
     DimensionError,
     _as_fraction,
-    falling_to_power_coeffs,
+    _falling_row,
+    _power_row,
     gen_binomial,
-    power_to_falling_coeffs,
 )
 
 _ZERO = Fraction(0)
@@ -287,14 +288,31 @@ def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._raw(a.rank, _from_rows(rows, a.den * b.den), _ZERO)
 
 
-def _change_basis(nums: Mapping, table) -> dict:
-    # Integer numerators of sum c t^i X_j E[p,q], X_j = sum_s table(j)[s] Y_s.
-    out: dict = {}
+def _d_polys(nums: Mapping) -> dict:
+    # The words grouped by (i, p, q): each group's D-polynomial as (j, c) pairs.
+    groups: dict = {}
     for (i, j, p, q), c in nums.items():
-        for s, w in enumerate(table(j)):
-            if w:
-                key = (i, s, p, q)
-                out[key] = out.get(key, 0) + c * w
+        groups.setdefault((i, p, q), []).append((j, c))
+    return groups
+
+
+def _change_basis(nums: Mapping, convert) -> dict:
+    # The numerators in the other basis: each row (i, p, q) is converted once as a
+    # dense D-row, and a one-word row c X^j is c times X^j, converted once per call.
+    out: dict = {}
+    units: dict = {}
+    for (i, p, q), words in _d_polys(nums).items():
+        if len(words) == 1:
+            ((j, scale),) = words
+            row = units.get(j) or units.setdefault(j, convert([0] * j + [1]))
+        else:
+            row, scale = [0] * (max(words)[0] + 1), 1
+            for j, c in words:
+                row[j] = c
+            row = convert(row)
+        for s, c in enumerate(row):
+            if c:
+                out[i, s, p, q] = scale * c
     return out
 
 
@@ -302,16 +320,14 @@ def to_falling(a: AlgebraElement) -> FallingElement:
     """Rewrite D^j in terms of [D]_s; the central part passes through."""
     if not isinstance(a, AlgebraElement):
         raise TypeError("expected an AlgebraElement")
-    out = _change_basis(a.nums, power_to_falling_coeffs)
-    return FallingElement._raw(a.rank, _from_ints(out.items(), a.den), a.central)
+    return FallingElement._raw(a.rank, (_change_basis(a.nums, _falling_row), a.den), a.central)
 
 
 def from_falling(f: FallingElement) -> AlgebraElement:
     """Rewrite [D]_j in terms of D^s; inverse of to_falling."""
     if not isinstance(f, FallingElement):
         raise TypeError("expected a FallingElement")
-    out = _change_basis(f.nums, falling_to_power_coeffs)
-    return AlgebraElement._raw(f.rank, _from_ints(out.items(), f.den), f.central)
+    return AlgebraElement._raw(f.rank, (_change_basis(f.nums, _power_row), f.den), f.central)
 
 
 def _psi_parity(j: int) -> int:
@@ -346,25 +362,23 @@ def _psi_total(cells_a, cells_b) -> int:
     return total
 
 
-def _d_polys(nums: Mapping) -> dict:
-    # The words grouped by (i, p, q): each group's D-polynomial as (j, c) pairs.
-    groups: dict = {}
-    for (i, j, p, q), c in nums.items():
-        groups.setdefault((i, p, q), []).append((j, c))
-    return groups
-
-
 def _psi_points(r: int) -> range:
     """The points x = -r, ..., -1 of the closed form at t power r > 0."""
     return range(-r, 0)
 
 
+def _horner(words, x: int) -> int:
+    # f(x) by Horner's rule over the (j, c) words of f in descending j, one x**gap a step.
+    acc, top = 0, words[0][0]
+    for j, c in words:
+        acc, top = acc * x ** (top - j) + c, j
+    return acc * x**top
+
+
 def _psi_closed(f, g, r: int) -> int:
     # Sum of f(x) g(x + r) over _psi_points(r); f, g are (j, c) pairs.
-    return sum(
-        sum(c * x**j for j, c in f) * sum(c * (x + r) ** l for l, c in g)
-        for x in _psi_points(r)
-    )
+    f, g = sorted(f, reverse=True), sorted(g, reverse=True)
+    return sum(_horner(f, x) * _horner(g, x + r) for x in _psi_points(r))
 
 
 def cocycle_psi(a: AlgebraElement, b: AlgebraElement) -> Fraction:

@@ -14,6 +14,7 @@ pair, verify only for verify, json only for JSON output.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -161,6 +162,10 @@ def _module_params(args, family: str, m: int):
     try:
         value = Fraction(args.lam)
     except (ValueError, ZeroDivisionError):
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        longest = max(map(len, re.findall(r"\d+", args.lam)), default=0)
+        if cap and longest > cap:  # refused like a term literal, and not echoed
+            raise ValueError(f"--lambda of {longest} digits exceeds the digit limit {cap}")
         raise ValueError(f"--lambda must be a rational or 'formal', got {args.lam!r}")
     return ModuleParams(family, args.n, m, Poly.const(value))
 

@@ -1,12 +1,12 @@
-"""Exact arithmetic primitives: rationals, univariate polynomials, Stirling
-tables, and the banded powers of a Jordan block.
+"""Exact arithmetic primitives: rationals, univariate polynomials, basis
+changes of integer D-rows, and the banded powers of a Jordan block.
 
 Every scalar is an arbitrary-precision rational (fractions.Fraction) at
 the API.  Polynomials are dense in a single formal indeterminate, which
 stands in for the free module parameter; an identity verified with the
 formal parameter therefore holds for every specialization at once.
-Inside, a polynomial is integer numerators over one denominator, and the
-Stirling tables are integers, so inner loops run on int arithmetic.
+Inside, a polynomial is integer numerators over one denominator, and a
+basis change maps a row of integers, so inner loops run on int arithmetic.
 """
 
 from __future__ import annotations
@@ -68,58 +68,41 @@ def falling_factorial(x, j: int):
     return acc
 
 
-class _Triangle:
-    """Cached table of rows 0, 1, 2, ... of an integer triangle.
-
-    Decorates the step that builds row n from row n-1; calling the table
-    with j returns row j.  A requested row is kept until cache_clear().  A
-    row not yet kept is built by iterating from the highest kept row below
-    it, so rows requested in ascending order cost one step each, and only
-    requested rows take memory.
-    """
-
-    def __init__(self, step):
-        functools.update_wrapper(self, step)
-        self._step = step
-        self._rows = {0: (1,)}
-
-    def __call__(self, j: int) -> tuple[int, ...]:
-        row = self._rows.get(j)
-        if row is None:
-            if j < 0:
-                raise ValueError("Stirling row index must be nonnegative")
-            # A snapshot of the keys: another thread may add a row meanwhile.
-            top = max(k for k in tuple(self._rows) if k < j)
-            row = self._rows[top]
-            for n in range(top + 1, j + 1):
-                row = self._step(row, n)
-            self._rows[j] = row
-        return row
-
-    def cache_clear(self) -> None:
-        self._rows = {0: (1,)}
+def _falling_row(row) -> list[int]:
+    """Falling coefficients g of an integer D-row f, sum f[j] D^j = sum g[s] [D]_s: the Newton
+    form at the nodes 0, 1, ..., by division by D - k in place; the k-th remainder is g[k]."""
+    g = list(row)
+    for k in range(1, len(g) - 1):
+        acc = g[-1]
+        for u in range(len(g) - 2, k - 1, -1):
+            acc = g[u] = g[u] + k * acc
+    return g
 
 
-@_Triangle
-def falling_to_power_coeffs(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Coefficients c with [D]_j = sum_s c[s] D^s, as a table indexed by j.
+def _power_row(row) -> list[int]:
+    """Power coefficients of an integer falling row g, the inverse of _falling_row:
+    nested multiplication g[0] + D (g[1] + (D - 1) (g[2] + ...)), in place."""
+    f = list(row)
+    for k in range(len(f) - 2, 0, -1):
+        for u in range(k, len(f) - 1):
+            f[u] -= k * f[u + 1]
+    return f
 
-    [D]_j = D(D-1)...(D-j+1); the coefficients are the signed Stirling
-    numbers of the first kind, as integers, built by the product
-    recurrence [D]_n = [D]_(n-1) (D - n + 1).
-    """
-    return (0, *[prev[s - 1] - (n - 1) * prev[s] for s in range(1, n)], 1)
+
+def _unit_row(j: int) -> list[int]:
+    if j < 0:
+        raise ValueError("basis index must be nonnegative")
+    return [0] * j + [1]
 
 
-@_Triangle
-def power_to_falling_coeffs(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Coefficients c with D^j = sum_s c[s] [D]_s, as a table indexed by j.
+def falling_to_power_coeffs(j: int) -> tuple[int, ...]:
+    """The c with [D]_j = sum_s c[s] D^s (signed Stirling numbers of the first kind)."""
+    return tuple(_power_row(_unit_row(j)))
 
-    These are the Stirling numbers of the second kind, as integers, built
-    by S(n, s) = s S(n-1, s) + S(n-1, s-1); composing with
-    falling_to_power_coeffs gives the identity.
-    """
-    return (0, *[s * prev[s] + prev[s - 1] for s in range(1, n)], 1)
+
+def power_to_falling_coeffs(j: int) -> tuple[int, ...]:
+    """The c with D^j = sum_s c[s] [D]_s (Stirling numbers of the second kind)."""
+    return tuple(_falling_row(_unit_row(j)))
 
 
 def _convolve(a, b) -> list[int]:

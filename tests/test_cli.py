@@ -403,6 +403,20 @@ class TestCancellingHighWords:
         )
         assert "sys." not in err
 
+    @pytest.mark.parametrize("command", ["act", "pair"])
+    @pytest.mark.parametrize("form", ["{}", "-{}", "1/{}", "{}/7", "1.{}"])
+    def test_a_lambda_past_the_digit_cap_is_one_line_and_not_echoed(self, capsys, command, form):
+        cap = sys.get_int_max_str_digits()
+        lam = form.format("9" * (cap + 1))
+        code, out, err = run_cli(capsys, command, "--n", "1", f"--lambda={lam}", "t", "v[1,1]")
+        assert (code, out) == (2, "")
+        assert err == f"error: --lambda of {cap + 1} digits exceeds the digit limit {cap}\n"
+
+    def test_a_lambda_at_the_digit_cap_is_read(self, capsys):
+        lam = "1/" + "9" * sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "act", "--n", "1", f"--lambda={lam}", "t", "v[1,1]")
+        assert (code, out, err) == (0, "v[2,1]\n", "")
+
 
 def _stirling_first_row(j):
     # Coefficients of x(x-1)...(x-j+1), multiplied out factor by factor.

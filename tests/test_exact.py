@@ -1,20 +1,26 @@
 """Exact arithmetic: binomials, basis conversions, Jordan power bands."""
 
+import gc
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from mdop.algebra import _falling_expansion, _product_expansion
+from mdop.algebra import _falling_expansion, _product_expansion, to_falling
 from mdop.exact import (
     Poly,
+    _falling_row,
     _jordan_power_cached,
+    _power_row,
     falling_factorial,
     falling_to_power_coeffs,
     gen_binomial,
     jordan_shifted_power,
     power_to_falling_coeffs,
 )
+from mdop.expr import parse_element
 
 X = Poly.var()
 
@@ -108,6 +114,94 @@ class TestStirlingConversions:
             expected = [Fraction(0)] * (j + 1)
             expected[j] = Fraction(1)
             assert total == expected
+
+
+def _old_triangles(top):
+    # Rows 0..top of both Stirling triangles, by the recurrences the kernel
+    # once kept as tables: [D]_n = [D]_(n-1) (D - n + 1) and
+    # S(n, s) = s S(n-1, s) + S(n-1, s-1).
+    first, second = [(1,)], [(1,)]
+    for n in range(1, top + 1):
+        a, b = first[-1], second[-1]
+        first.append((0, *[a[s - 1] - (n - 1) * a[s] for s in range(1, n)], 1))
+        second.append((0, *[s * b[s] + b[s - 1] for s in range(1, n)], 1))
+    return first, second
+
+
+def _dense_row(rng, degree):
+    return [rng.randint(-(2**64), 2**64) for _ in range(degree)] + [rng.randint(1, 2**64)]
+
+
+DEGREES = (0, 1, 2, 3, 8, 31, 120, 300)
+
+
+class TestNewtonConversions:
+    # The dense-row conversions, checked by evaluation at integer points and
+    # against the old table recurrences.
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_falling_row_evaluates_like_the_power_row(self, degree):
+        f = _dense_row(random.Random(degree), degree)
+        g = _falling_row(f)
+        assert len(g) == len(f)
+        for x in range(degree + 2):
+            falling_sum, fall = 0, 1  # fall = [x]_s
+            for s, c in enumerate(g):
+                falling_sum += c * fall
+                fall *= x - s
+            assert falling_sum == sum(c * x**j for j, c in enumerate(f))
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_round_trips_are_exact(self, degree):
+        row = _dense_row(random.Random(1000 + degree), degree)
+        assert _power_row(_falling_row(row)) == row
+        assert _falling_row(_power_row(row)) == row
+
+    def test_the_input_row_is_not_changed(self):
+        row = [3, -1, 4, 1, -5]
+        _falling_row(row)
+        _power_row(row)
+        assert row == [3, -1, 4, 1, -5]
+
+    def test_agrees_with_the_old_recurrences(self):
+        first, second = _old_triangles(120)
+        for j in range(121):
+            assert falling_to_power_coeffs(j) == first[j]
+            assert power_to_falling_coeffs(j) == second[j]
+        rng = random.Random(120)
+        row = _dense_row(rng, 120)
+        by_words_f, by_words_p = [0] * 121, [0] * 121
+        for j, c in enumerate(row):
+            for s in range(j + 1):
+                by_words_f[s] += c * second[j][s]
+                by_words_p[s] += c * first[j][s]
+        assert _falling_row(row) == by_words_f
+        assert _power_row(row) == by_words_p
+
+    def test_negative_index_rejected(self):
+        for table in (falling_to_power_coeffs, power_to_falling_coeffs):
+            with pytest.raises(ValueError):
+                table(-1)
+
+    # One dense row, and one-word rows that share the conversion of D^320.
+    @pytest.mark.parametrize("text", ["FD^320", "D^320 + t D^320 - 2 t^2 D^319"])
+    def test_a_high_conversion_keeps_nothing(self, text):
+        to_falling(parse_element("FD^3", 1))  # first-call imports and regex caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = to_falling(parse_element(text, 1))
+            _, peak = tracemalloc.get_traced_memory()
+            assert out
+            del out
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2 * 2**20
+        assert after - before < 16 * 2**10
 
 
 def _truncated_convolution(a, b, m):
