@@ -15,9 +15,9 @@ form of Poly; each operation loops on those integers and normalises its
 result by one gcd pass (_from_ints, or _from_rows for product rows); a
 change of basis keeps gcd 1, being an integer map with integer inverse.
 Products and the cocycle visit only the pairs of words whose matrix slots
-match, and a product adds the contributions of a pair into one row
-(i, p, q) of numerators indexed by the D power (_product_rows).  The
-power-basis cocycle evaluates the D-polynomial of each row by Horner's
+match; a sparse product adds up word pairs (_word_products), a dense one sums
+each output row as one big integer (_dense_products, Kronecker substitution).
+The power-basis cocycle evaluates the D-polynomial of each row by Horner's
 rule at |i| points (the Kac-Radul closed form); the falling-basis bracket
 keeps the per-word weights of _psi_weight, so the two are independent.
 """
@@ -52,13 +52,6 @@ def _from_ints(cells, den: int) -> tuple[dict, int]:
         den //= g
         nums = {key: n // g for key, n in nums.items()}
     return nums, den
-
-
-def _product_rows(na: Mapping, nb: Mapping) -> defaultdict:
-    # Accumulator for products of the words of na and nb: (i, p, q) -> integer
-    # numerators indexed by the D power, up to the sum of their highest powers.
-    width = max(map(itemgetter(1), na), default=0) + max(map(itemgetter(1), nb), default=0) + 1
-    return defaultdict(lambda: [0] * width)
 
 
 def _from_rows(rows: Mapping, den: int) -> tuple[dict, int]:
@@ -264,28 +257,14 @@ def _add_products(rows: dict, na: Mapping, nb: Mapping, sign: int, falling: bool
                 row[u + l] += c * w
 
 
-def canonical_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Composition product on the associative operator algebra.
-
-    (t^i D^j E[p,q]) (t^k D^l E[p',q']) vanishes unless q = p' and equals
-    t^(i+k) (D+k)^j D^l E[p,q'] otherwise.  Central parts of the inputs are
-    ignored; the result has zero central part.
-    """
-    _check_pair(a, b, AlgebraElement)
-    na, nb = a.nums, b.nums
-    rows = _product_rows(na, nb)
-    _add_products(rows, na, nb, 1)
-    return AlgebraElement._raw(a.rank, _from_rows(rows, a.den * b.den), _ZERO)
-
-
-def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Commutator ab - ba of the composition product (no central term)."""
-    _check_pair(a, b, AlgebraElement)
-    na, nb = a.nums, b.nums
-    rows = _product_rows(na, nb)
-    _add_products(rows, na, nb, 1)
-    _add_products(rows, nb, na, -1)
-    return AlgebraElement._raw(a.rank, _from_rows(rows, a.den * b.den), _ZERO)
+def _word_products(na: Mapping, nb: Mapping, den: int, bracket: bool, falling: bool = False):
+    # Normal form of ab, or of ab - ba if bracket, summed word pair by word pair.
+    width = max(map(itemgetter(1), na), default=0) + max(map(itemgetter(1), nb), default=0) + 1
+    rows: defaultdict = defaultdict(lambda: [0] * width)
+    _add_products(rows, na, nb, 1, falling)
+    if bracket:
+        _add_products(rows, nb, na, -1, falling)
+    return _from_rows(rows, den)
 
 
 def _d_polys(nums: Mapping) -> dict:
@@ -294,6 +273,77 @@ def _d_polys(nums: Mapping) -> dict:
     for (i, j, p, q), c in nums.items():
         groups.setdefault((i, p, q), []).append((j, c))
     return groups
+
+
+DENSE_PAIRS, DENSE_WORDS_PER_ROW = 256, 2  # the thresholds of the dense route in _products
+
+
+def _kronecker_bound(ga: Mapping, gb: Mapping) -> int:
+    # No coefficient of ab exceeds sum_a |c| (1 + K)^j * sum_b |c|, K the largest |t power| of b.
+    base = 1 + max(abs(k) for k, _, _ in gb)
+    left = sum(abs(c) * base**j for words in ga.values() for j, c in words)
+    return left * sum(abs(c) for words in gb.values() for _, c in words)
+
+
+def _add_kronecker(values: dict, ga: Mapping, gb: Mapping, sign: int, x: int) -> None:
+    # values[i+k, p, q'] += sign f(x + k) g(x) for each row t^i f(D) E[p,q] of ga and
+    # t^k g(D) E[q,q'] of gb: their product t^(i+k) f(D+k) g(D) E[p,q'] at D = x.
+    partners: dict = {}  # p -> k -> [(q', sign g(x))]
+    for (k, p, q), g in gb.items():
+        gx = sign * _horner(sorted(g, reverse=True), x)
+        partners.setdefault(p, {}).setdefault(k, []).append((q, gx))
+    for (i, p, q), f in ga.items():
+        f = sorted(f, reverse=True)
+        for k, row in partners.get(q, {}).items():
+            fx = _horner(f, x + k)
+            for q2, gx in row:
+                values[i + k, p, q2] = values.get((i + k, p, q2), 0) + fx * gx
+
+
+def _dense_products(ga: Mapping, gb: Mapping, den: int, bracket: bool) -> tuple[dict, int]:
+    # Normal form of ab, or ab - ba if bracket, from rows _d_polys: row H is read from H(2^bits).
+    bound = _kronecker_bound(ga, gb) + (_kronecker_bound(gb, ga) if bracket else 0)
+    bits = bound.bit_length() + 1
+    values: dict = {}
+    _add_kronecker(values, ga, gb, 1, 1 << bits)
+    if bracket:
+        _add_kronecker(values, gb, ga, -1, 1 << bits)
+    width = sum(max(j for words in g.values() for j, _ in words) for g in (ga, gb)) + 1
+    mask, half, rows = (1 << bits) - 1, 1 << (bits - 1), {}
+    for key, n in values.items():
+        row = rows[key] = []
+        for _ in range(width):
+            d = n & mask
+            if d >= half:  # a negative digit, with a carry of 1 into the next
+                d -= mask + 1
+            row.append(d)
+            n = (n - d) >> bits
+    return _from_rows(rows, den)
+
+
+def _products(a: AlgebraElement, b: AlgebraElement, bracket: bool) -> AlgebraElement:
+    _check_pair(a, b, AlgebraElement)
+    na, nb, den = a.nums, b.nums, a.den * b.den
+    if len(na) * len(nb) >= DENSE_PAIRS:
+        ga, gb = _d_polys(na), _d_polys(nb)
+        if len(na) + len(nb) >= DENSE_WORDS_PER_ROW * (len(ga) + len(gb)):
+            return AlgebraElement._raw(a.rank, _dense_products(ga, gb, den, bracket), _ZERO)
+    return AlgebraElement._raw(a.rank, _word_products(na, nb, den, bracket), _ZERO)
+
+
+def canonical_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Composition product on the associative operator algebra.
+
+    (t^i D^j E[p,q]) (t^k D^l E[p',q']) vanishes unless q = p' and equals
+    t^(i+k) (D+k)^j D^l E[p,q'] otherwise.  Central parts of the inputs are
+    ignored; the result has zero central part.
+    """
+    return _products(a, b, False)
+
+
+def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Commutator ab - ba of the composition product (no central term)."""
+    return _products(a, b, True)
 
 
 def _change_basis(nums: Mapping, convert) -> dict:
@@ -420,13 +470,9 @@ def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingEleme
     to the power basis, applying central_bracket, and converting back.
     """
     _check_pair(a, b, FallingElement)
-    na, nb = a.nums, b.nums
-    rows = _product_rows(na, nb)
-    _add_products(rows, na, nb, 1, falling=True)
-    _add_products(rows, nb, na, -1, falling=True)
-    den = a.den * b.den
+    na, nb, den = a.nums, b.nums, a.den * b.den
     central = Fraction(_psi_total(na.items(), nb.items()), den)
-    return FallingElement._raw(a.rank, _from_rows(rows, den), central)
+    return FallingElement._raw(a.rank, _word_products(na, nb, den, True, True), central)
 
 
 def homogeneous_components(a: AlgebraElement) -> dict[int, AlgebraElement]:

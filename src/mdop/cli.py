@@ -159,13 +159,18 @@ def _module_params(args, family: str, m: int):
     family = Family(family)
     if args.lam == "formal":
         return ModuleParams.formal(family, args.n, m)
+    # Fraction builds 10**e for an exponent e: digit runs and e are held to the digit limit.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    text = args.lam.replace("_", "")
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if longest > cap:  # refused like a term literal, and not echoed
+        raise ValueError(f"--lambda of {longest} digits exceeds the digit limit {cap}")
+    exponent = re.search(r"e[-+]?(\d+)\s*$", text, re.IGNORECASE)
+    if exponent and int(exponent[1]) > cap:
+        raise ValueError(f"--lambda exponent exceeds the digit limit {cap}")
     try:
         value = Fraction(args.lam)
     except (ValueError, ZeroDivisionError):
-        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        longest = max(map(len, re.findall(r"\d+", args.lam)), default=0)
-        if cap and longest > cap:  # refused like a term literal, and not echoed
-            raise ValueError(f"--lambda of {longest} digits exceeds the digit limit {cap}")
         raise ValueError(f"--lambda must be a rational or 'formal', got {args.lam!r}")
     return ModuleParams(family, args.n, m, Poly.const(value))
 
@@ -245,6 +250,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if max(getattr(args, "ranks", None) or [getattr(args, "n", 1)]) > expr.MAX_RANK:
+            parser.error(f"argument --n: rank above the limit {expr.MAX_RANK}")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -22,6 +22,7 @@ so the zero vector, printed as 0, parses back.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -39,6 +40,10 @@ _POLY_ONE = Poly.const(1)
 # together.  The cost of a product, bracket or basis change grows with it;
 # README "Resource limits" gives the measured cost of calls at the limit.
 MAX_D_POWER = 1200
+
+# The highest matrix rank of every subcommand.  verify's exhaustive matrix-unit
+# check grows fastest with it; README "Resource limits" gives the cost at the limit.
+MAX_RANK = 16
 
 # The highest |t power| of one term.  A cocycle or bracket of two words
 # whose t powers cancel costs in proportion to that power; README
@@ -389,30 +394,30 @@ def _join_signed(pieces: list[tuple[int, str]]) -> str:
     return "".join(out)
 
 
-def _signed_piece(coeff: Fraction, body: str, sep: str = " ") -> tuple[int, str]:
-    mag = abs(coeff)
-    if not body:
-        text = str(mag)
-    elif mag == 1:
-        text = body
-    else:
-        text = f"{mag}{sep}{body}"
-    return (1 if coeff > 0 else -1, text)
+def _ratio(num: int, den: int) -> str:  # str(Fraction(num, den)) for den > 0
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _signed_piece(num: int, den: int, body: str, sep: str = " ") -> tuple[int, str]:
+    mag = _ratio(abs(num), den)
+    text = mag if not body else body if mag == "1" else f"{mag}{sep}{body}"
+    return (1 if num > 0 else -1, text)
 
 
 def _format_opsum(e, d_symbol: str) -> str:
     pieces: list[tuple[int, str]] = []
-    for mono, coeff in sorted(e.terms.items()):
+    for (i, j, p, q), num in sorted(e.nums.items()):
         atoms = []
-        if mono.i:
-            atoms.append("t" if mono.i == 1 else f"t^{mono.i}")
-        if mono.j:
-            atoms.append(d_symbol if mono.j == 1 else f"{d_symbol}^{mono.j}")
+        if i:
+            atoms.append("t" if i == 1 else f"t^{i}")
+        if j:
+            atoms.append(d_symbol if j == 1 else f"{d_symbol}^{j}")
         if e.rank > 1:
-            atoms.append(f"E[{mono.p},{mono.q}]")
-        pieces.append(_signed_piece(coeff, " ".join(atoms)))
+            atoms.append(f"E[{p},{q}]")
+        pieces.append(_signed_piece(num, e.den, " ".join(atoms)))
     if e.central:
-        pieces.append(_signed_piece(e.central, "C"))
+        pieces.append(_signed_piece(e.central.numerator, e.central.denominator, "C"))
     return _join_signed(pieces)
 
 
@@ -427,7 +432,7 @@ def format_falling_element(f: FallingElement) -> str:
 def _poly_pieces(p: Poly) -> list[tuple[int, str]]:
     """The signed pieces c a^e of p, highest power first."""
     return [
-        _signed_piece(c, "" if e == 0 else "a" if e == 1 else f"a^{e}", sep="")
+        _signed_piece(c.numerator, c.denominator, "" if e == 0 else "a" if e == 1 else f"a^{e}", "")
         for e, c in reversed(list(enumerate(p.coeffs)))
         if c
     ]
@@ -464,8 +469,8 @@ def element_to_json(e: AlgebraElement) -> dict:
         "n": e.rank,
         "central": str(e.central),
         "terms": [
-            {"i": m.i, "j": m.j, "p": m.p, "q": m.q, "coeff": str(c)}
-            for m, c in sorted(e.terms.items())
+            {"i": i, "j": j, "p": p, "q": q, "coeff": _ratio(num, e.den)}
+            for (i, j, p, q), num in sorted(e.nums.items())
         ],
     }
 

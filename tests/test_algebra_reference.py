@@ -290,3 +290,127 @@ def test_the_two_cocycle_routes_share_no_weight(monkeypatch):
     fa, fb = to_falling(a), to_falling(b)
     assert bracket_falling_direct(fa, fb).central == expected
     assert len(calls) == 1
+
+
+# Dense operands multiply row by row: each output row is summed as one big
+# integer H(2^bits) and read back in balanced base-2^bits digits.
+
+
+def _dense(a, b, bracket=False):
+    ga, gb = algebra_module._d_polys(a.nums), algebra_module._d_polys(b.nums)
+    normal = algebra_module._dense_products(ga, gb, a.den * b.den, bracket)
+    return AlgebraElement._raw(a.rank, normal, Fraction(0))
+
+
+def _dense_element(rng, rank, words, i_values, slots=None, big=False):
+    """`words` words up to D^12 over the given t powers and matrix slots, or as many as fit."""
+    slots = slots or [(p, q) for p in range(1, rank + 1) for q in range(1, rank + 1)]
+    terms = {}
+    while len(terms) < min(words, 13 * len(i_values) * len(slots)):
+        mono = Monomial(rng.choice(i_values), rng.randint(0, 12), *rng.choice(slots))
+        if big:  # mixed signs, numerators of about 200 bits
+            terms[mono] = Fraction(rng.choice((-1, 1)) * rng.getrandbits(200), rng.randint(1, 99))
+        else:
+            terms[mono] = _coeff(rng)
+    return AlgebraElement(rank, terms)
+
+
+@pytest.mark.parametrize(
+    "i_values", [range(-3, 4), range(-4, 0), (0,)], ids=["mixed", "negative", "zero"]
+)
+@pytest.mark.parametrize("big", [False, True], ids=["small", "big"])
+def test_dense_route_against_the_references(i_values, big):
+    rng = random.Random(12)
+    for rank in (1, 2, 3):
+        a = _dense_element(rng, rank, 40, i_values, big=big)
+        b = _dense_element(rng, rank, 44, i_values, big=big)
+        _assert_stored_form(_dense(a, b), ref_product(a, b))
+        _assert_stored_form(_dense(b, a), ref_product(b, a))
+        _assert_stored_form(_dense(a, b, True), ref_bracket(a, b))
+        _assert_stored_form(_dense(a, a), ref_product(a, a))
+        assert not _dense(a, a, True)
+
+
+def test_dense_route_cancels_to_zero():
+    # E[1,1] + E[1,2] times x E[1,2] - x E[2,2]: two row pairs meet and cancel.
+    x = Fraction(-(2**90) - 1, 7)
+    a = AlgebraElement(2, {Monomial(0, 0, 1, 1): 1, Monomial(0, 0, 1, 2): 1})
+    b = AlgebraElement(2, {Monomial(0, 0, 1, 2): x, Monomial(0, 0, 2, 2): -x})
+    assert ref_product(a, b) == {}
+    zero = _dense(a, b)
+    assert zero == AlgebraElement.zero(2) and (zero.nums, zero.den) == ({}, 1)
+    d, d2 = AlgebraElement.term(1, 0, 1, 1, 1), AlgebraElement.term(1, 0, 2, 1, 1)
+    assert not _dense(d, d2, True)
+
+
+@pytest.mark.parametrize("c", [1, 5, 2**64 - 1, 2**64, 3**41, -(2**64), -(3**41)])
+def test_dense_route_at_the_bound(c):
+    # c D^3 times D^2 is c D^5: with no shift the bound is |c|, met exactly.
+    a, b = AlgebraElement.term(1, 0, 3, 1, 1, c), AlgebraElement.term(1, 0, 2, 1, 1)
+    ga, gb = algebra_module._d_polys(a.nums), algebra_module._d_polys(b.nums)
+    assert algebra_module._kronecker_bound(ga, gb) == abs(c)
+    _assert_stored_form(_dense(a, b), {Monomial(0, 5, 1, 1): c})
+    # With the words of a shifted too: 2 c D^3 t^-1 D^2 reaches 2 |c| (1+1)^3.
+    a = AlgebraElement(1, {Monomial(0, 3, 1, 1): c, Monomial(0, 0, 1, 1): -c})
+    b = AlgebraElement(1, {Monomial(-1, 2, 1, 1): 1, Monomial(1, 2, 1, 1): -1})
+    _assert_stored_form(_dense(a, b), ref_product(a, b))
+
+
+def test_dense_bracket_bounds_both_orders():
+    # t^5 against D^6: ab = t^5 D^6 has coefficient 1, but ba = t^5 (D+5)^6
+    # reaches 5^6, so the bound must count the swapped product.
+    a, b = AlgebraElement.term(1, 5, 0, 1, 1), AlgebraElement.term(1, 0, 6, 1, 1)
+    _assert_stored_form(_dense(a, b, True), ref_bracket(a, b))
+    _assert_stored_form(_dense(b, a, True), ref_bracket(b, a))
+
+
+def _dense_pairs(rng):
+    # Operand pairs past the route's thresholds at ranks 1-3.
+    yield _dense_element(rng, 1, 40, range(-2, 3)), _dense_element(rng, 1, 42, range(-2, 3))
+    yield _dense_element(rng, 2, 45, range(-1, 2)), _dense_element(rng, 2, 41, range(-1, 2))
+    slots = [(1, 1), (1, 2), (2, 1), (3, 3)]
+    yield (
+        _dense_element(rng, 3, 40, (-1, 0, 1), slots, big=True),
+        _dense_element(rng, 3, 40, (-1, 0, 1), slots),
+    )
+
+
+def test_public_ops_take_the_dense_route_past_the_thresholds(monkeypatch):
+    calls = []
+    dense = algebra_module._dense_products
+    monkeypatch.setattr(
+        algebra_module, "_dense_products", lambda *args: calls.append(args) or dense(*args)
+    )
+    for a, b in _dense_pairs(random.Random(13)):
+        _assert_stored_form(canonical_product(a, b), ref_product(a, b), 0)
+        _assert_stored_form(plain_bracket(a, b), ref_bracket(a, b), 0)
+        _assert_stored_form(central_bracket(a, b), ref_bracket(a, b), ref_psi(a, b))
+    assert len(calls) == 9
+
+
+def test_small_and_sparse_operands_keep_the_word_route(monkeypatch):
+    def reached(*args):
+        raise AssertionError("the dense route was reached")
+
+    monkeypatch.setattr(algebra_module, "_dense_products", reached)
+    for a, b in POWER_CASES:  # at most 12 words each
+        canonical_product(a, b)
+        plain_bracket(a, b)
+    rng = random.Random(14)
+    for rank in (1, 3):  # 30 words, about one per row
+        a = _element(rng, rank, size=30, i_values=range(-12, 13))
+        b = _element(rng, rank, size=30, i_values=range(-12, 13))
+        _assert_stored_form(canonical_product(a, b), ref_product(a, b), 0)
+
+
+def test_the_default_suite_never_takes_the_dense_route(monkeypatch):
+    from mdop.verify import SuiteConfig, run_suite
+
+    def reached(*args):
+        raise AssertionError("the dense route was reached")
+
+    monkeypatch.setattr(algebra_module, "_dense_products", reached)
+    checks = ("associativity", "jacobi_central", "jacobi_plain", "sigma_bracket")
+    for seed in (7, 1, 2, 3):
+        report = run_suite(SuiteConfig(seed=seed, checks=checks))
+        assert report.passed and len(report.results) == len(checks)

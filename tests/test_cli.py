@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from mdop import algebra, expr
+from mdop import algebra, cli, expr
 from mdop.cli import main
 from mdop.verify import available_checks
 
@@ -416,6 +416,76 @@ class TestCancellingHighWords:
         lam = "1/" + "9" * sys.get_int_max_str_digits()
         code, out, err = run_cli(capsys, "act", "--n", "1", f"--lambda={lam}", "t", "v[1,1]")
         assert (code, out, err) == (0, "v[2,1]\n", "")
+
+
+class TestLambdaExponent:
+    # Fraction reads 1e1000000 by building 10**1000000 itself, which once ran
+    # for 19 s; an exponent past the digit limit is refused before it is read.
+
+    @pytest.mark.parametrize("command", ["act", "pair"])
+    @pytest.mark.parametrize(
+        "lam", ["1e1000000", "1e100000", "-2.5E+4301", "1e1_000_000", "3E-00004301", "1e" + "9" * 40]
+    )
+    def test_a_large_exponent_is_refused_at_once(self, capsys, monkeypatch, command, lam):
+        def reached(*args):
+            raise AssertionError("Fraction was called")
+
+        monkeypatch.setattr(cli, "Fraction", reached)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--n", "1", f"--lambda={lam}", "t", "v[1,1]")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        cap = sys.get_int_max_str_digits()
+        assert err == f"error: --lambda exponent exceeds the digit limit {cap}\n"
+
+    @pytest.mark.parametrize(
+        "lam,shown",
+        [
+            ("3/2", "5/2"),
+            ("-1/3", "2/3"),
+            ("5/2", "7/2"),
+            ("2.5e-3", "401/400"),
+            ("formal", "(a + 1)"),
+            ("1e4300", "1" + "0" * 4299 + "1"),
+        ],
+    )
+    def test_values_within_the_limit_read_as_before(self, capsys, all_digits, lam, shown):
+        # D v[1,1] = (lambda + 1) v[1,1] in family V.
+        code, out, err = run_cli(capsys, "act", "--n", "1", f"--lambda={lam}", "D", "v[1,1]")
+        assert (code, out, err) == (0, f"{shown}*v[1,1]\n", "")
+
+
+class TestRankLimit:
+    TOP = expr.MAX_RANK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bracket", "t", "D"),
+            ("product", "t", "D"),
+            ("cocycle", "t", "t^-1"),
+            ("sigma", "t"),
+            ("degree", "t"),
+            ("convert", "--to", "falling", "D"),
+            ("act", "t", "v[0,1]"),
+            ("pair", "v[0,1]", "v[0,1]"),
+            ("verify",),
+            ("verify", "--list-checks"),
+        ],
+    )
+    def test_a_rank_above_the_limit_is_refused(self, capsys, argv):
+        ranks = f"1,{self.TOP + 1}" if argv[0] == "verify" else str(self.TOP + 1)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv[0], "--n", ranks, *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: argument --n: rank above the limit {self.TOP}\n"
+
+    def test_the_limit_itself_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "cocycle", "--n", str(self.TOP), "t", "t^-1")
+        assert (code, out) == (0, f"{self.TOP}\n")
+        code, out, _ = run_cli(capsys, "verify", "--n", str(self.TOP), "--list-checks")
+        assert code == 0 and out.split() == list(available_checks())
 
 
 def _stirling_first_row(j):
