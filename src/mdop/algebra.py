@@ -9,17 +9,16 @@ multiple of the central generator C.  Two bases are supported:
     = t^j (d/dt)^j, in which the defining 2-cocycle of the central
     extension has a closed form on each pair of words.
 
-All operations are pure and exact.  An element stores integer numerators
-under plain tuple keys (i, j, p, q) over one denominator, in the normal
-form of Poly; each operation loops on those integers and normalises its
-result by one gcd pass (_from_ints, or _from_rows for product rows); a
-change of basis keeps gcd 1, being an integer map with integer inverse.
-Products and the cocycle visit only the pairs of words whose matrix slots
-match; a sparse product adds up word pairs (_word_products), a dense one sums
-each output row as one big integer (_dense_products, Kronecker substitution).
-The power-basis cocycle evaluates the D-polynomial of each row by Horner's
-rule at |i| points (the Kac-Radul closed form); the falling-basis bracket
-keeps the per-word weights of _psi_weight, so the two are independent.
+All operations are pure and exact.  An element is stored as a module
+vector is: one row t^i f(D) E[p,q] per key (i, p, q), the integer
+numerators of f by ascending D power over one denominator, in the normal
+form of exact._reduced_rows.  Products and the cocycle visit only the pairs
+of rows whose matrix slots match; a sparse product adds up word pairs
+(_word_products), a dense one sums each output row as one big integer
+(_dense_products, Kronecker substitution).  The power-basis cocycle
+evaluates each row by Horner's rule at |i| points (the Kac-Radul closed
+form); the falling-basis bracket keeps the per-word weights of _psi_weight,
+read through _words, so the two are independent.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .exact import (
@@ -38,32 +35,17 @@ from .exact import (
     _as_fraction,
     _falling_row,
     _power_row,
+    _reduced_rows,
+    _sum_rows,
     gen_binomial,
 )
 
 _ZERO = Fraction(0)
 
 
-def _from_ints(cells, den: int) -> tuple[dict, int]:
-    """Normal form (nums, den) of the numerators ((i, j, p, q), n) of cells over den > 0."""
-    nums = {key: n for key, n in cells if n}
-    g = math.gcd(den, *nums.values())
-    if g != 1:
-        den //= g
-        nums = {key: n // g for key, n in nums.items()}
-    return nums, den
-
-
-def _from_rows(rows: Mapping, den: int) -> tuple[dict, int]:
-    """Normal form (nums, den) of product rows (i, p, q) -> numerators by D power, over den > 0."""
-    g = math.gcd(den, *chain.from_iterable(rows.values()))
-    nums = {
-        (i, j, p, q): n if g == 1 else n // g
-        for (i, p, q), row in rows.items()
-        for j, n in enumerate(row)
-        if n
-    }
-    return nums, den // g
+def _words(nums: Mapping) -> list:
+    """The nonzero words ((i, j, p, q), n) of the rows nums."""
+    return [((i, j, p, q), n) for (i, p, q), row in nums.items() for j, n in enumerate(row) if n]
 
 
 class Monomial(NamedTuple):
@@ -86,8 +68,9 @@ class _OperatorSum:
     Shared implementation of the power-basis and falling-basis element
     types; the two are distinct classes so they never mix silently.
     Coefficients must be exact (int or Fraction); others raise TypeError.
-    They are stored as nums, (i, j, p, q) -> nonzero int, over den > 0 with
-    gcd(den, *nums) = 1; .terms builds Monomial -> Fraction on each read.
+    They are stored as a module vector's are: nums, (i, p, q) -> nonempty int
+    tuple by D power without trailing zero, over den > 0 with gcd(den, *all
+    nums) = 1; .terms builds Monomial -> Fraction on each read.
     """
 
     __slots__ = ("rank", "nums", "den", "central")
@@ -108,14 +91,18 @@ class _OperatorSum:
                 if value:
                     table[tuple(mono)] = value
         den = math.lcm(*[c.denominator for c in table.values()])
+        rows: dict = {}
+        for (i, j, p, q), c in table.items():
+            row = rows.setdefault((i, p, q), [])
+            row.extend([0] * (j + 1 - len(row)))
+            row[j] = c.numerator * (den // c.denominator)
         self.rank = rank
-        self.nums = {key: c.numerator * (den // c.denominator) for key, c in table.items()}
-        self.den = den
+        self.nums, self.den = _reduced_rows(rows, den)
         self.central = _as_fraction(central)
 
     @classmethod
     def _raw(cls, rank: int, normal: tuple[dict, int], central: Fraction):
-        # Internal fast path: normal is (nums, den) as _from_ints returns it.
+        # Internal fast path: normal is (nums, den) as _reduced_rows returns it.
         el = object.__new__(cls)
         el.rank = rank
         el.nums, el.den = normal
@@ -137,7 +124,7 @@ class _OperatorSum:
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         new, den = tuple.__new__, self.den
-        return {new(Monomial, key): Fraction(n, den) for key, n in self.nums.items()}
+        return {new(Monomial, key): Fraction(n, den) for key, n in _words(self.nums)}
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items())
@@ -167,15 +154,8 @@ class _OperatorSum:
             return NotImplemented
         if other.rank != self.rank:
             raise DimensionError("operand ranks differ")
-        da, db = self.den, other.den
-        g = math.gcd(da, db)
-        fa, fb = db // g, sign * da // g
-        out = {m: c * fa for m, c in self.nums.items()}
-        for m, c in other.nums.items():
-            out[m] = out.get(m, 0) + c * fb
-        return type(self)._raw(
-            self.rank, _from_ints(out.items(), da * fa), self.central + sign * other.central
-        )
+        normal = _sum_rows(self.nums, self.den, other.nums, other.den, sign)
+        return type(self)._raw(self.rank, normal, self.central + sign * other.central)
 
     def __neg__(self):
         return self * -1
@@ -184,10 +164,10 @@ class _OperatorSum:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         factor = Fraction(scalar)
-        top = factor.numerator
-        cells = ((m, c * top) for m, c in self.nums.items())
+        top = factor.numerator  # a nonzero top keeps every row free of trailing zeros
+        rows = {key: tuple(map(top.__mul__, row)) for key, row in self.nums.items()} if top else {}
         return type(self)._raw(
-            self.rank, _from_ints(cells, self.den * factor.denominator), self.central * factor
+            self.rank, _reduced_rows(rows, self.den * factor.denominator), self.central * factor
         )
 
     __rmul__ = __mul__
@@ -240,75 +220,83 @@ def _falling_expansion(j: int, n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _add_products(rows: dict, na: Mapping, nb: Mapping, sign: int, falling: bool = False) -> None:
-    # rows += sign * (a b) on integer numerators.  t^i X_j E[p,q] t^k X_l E[q,q']
+    # rows += sign * (a b), word pair by word pair.  t^i X_j E[p,q] t^k X_l E[q,q']
     # = t^(i+k) sum_u w_u X_(u+l) E[p,q'], where X = D takes the weights of
     # (D+k)^j and X = [D] those of _falling_expansion(j, k+l).  The words of b
-    # are indexed by their row slot, so a word of a meets only its partners.
+    # are indexed by their row slot, so a row of a meets only its partners.
     partners: dict = {}
-    for (k, l, p, q), c in nb.items():
-        partners.setdefault(p, []).append((k, l, q, c))
+    for (k, p, q), row in nb.items():
+        words = partners.setdefault(p, [])
+        for l, c in enumerate(row):
+            if c:
+                words.append((k, l, q, c))
     expansion = _falling_expansion if falling else _product_expansion
-    for (i, j, p, q), ca in na.items():
-        ca *= sign
-        for k, l, q2, cb in partners.get(q, ()):
-            c = ca * cb
-            row = rows[i + k, p, q2]
-            for u, w in expansion(j, k + l if falling else k):
-                row[u + l] += c * w
+    for (i, p, q), row in na.items():
+        words = partners.get(q)
+        if words is None:
+            continue
+        for j, ca in enumerate(row):
+            if ca:
+                ca *= sign
+                for k, l, q2, cb in words:
+                    c = ca * cb
+                    out = rows[i + k, p, q2]
+                    for u, w in expansion(j, k + l if falling else k):
+                        out[u + l] += c * w
 
 
 def _word_products(na: Mapping, nb: Mapping, den: int, bracket: bool, falling: bool = False):
     # Normal form of ab, or of ab - ba if bracket, summed word pair by word pair.
-    width = max(map(itemgetter(1), na), default=0) + max(map(itemgetter(1), nb), default=0) + 1
+    width = max(map(len, na.values()), default=1) + max(map(len, nb.values()), default=1) - 1
     rows: defaultdict = defaultdict(lambda: [0] * width)
     _add_products(rows, na, nb, 1, falling)
     if bracket:
         _add_products(rows, nb, na, -1, falling)
-    return _from_rows(rows, den)
+    return _reduced_rows(rows, den)
 
 
-def _d_polys(nums: Mapping) -> dict:
-    # The words grouped by (i, p, q): each group's D-polynomial as (j, c) pairs.
-    groups: dict = {}
-    for (i, j, p, q), c in nums.items():
-        groups.setdefault((i, p, q), []).append((j, c))
-    return groups
+def _dense_route(na: Mapping, nb: Mapping) -> bool:
+    # DENSE_PAIRS word pairs and DENSE_WORDS_PER_ROW words a row; a row's length bounds its words.
+    if sum(map(len, na.values())) * sum(map(len, nb.values())) < DENSE_PAIRS:
+        return False
+    wa, wb = (sum(len(row) - row.count(0) for row in n.values()) for n in (na, nb))
+    return wa * wb >= DENSE_PAIRS and wa + wb >= DENSE_WORDS_PER_ROW * (len(na) + len(nb))
 
 
 DENSE_PAIRS, DENSE_WORDS_PER_ROW = 256, 2  # the thresholds of the dense route in _products
 
 
-def _kronecker_bound(ga: Mapping, gb: Mapping) -> int:
+def _kronecker_bound(na: Mapping, nb: Mapping) -> int:
     # No coefficient of ab exceeds sum_a |c| (1 + K)^j * sum_b |c|, K the largest |t power| of b.
-    base = 1 + max(abs(k) for k, _, _ in gb)
-    left = sum(abs(c) * base**j for words in ga.values() for j, c in words)
-    return left * sum(abs(c) for words in gb.values() for _, c in words)
+    base = 1 + max(abs(k) for k, _, _ in nb)
+    left = sum(abs(c) * base**j for row in na.values() for j, c in enumerate(row) if c)
+    return left * sum(abs(c) for row in nb.values() for c in row)
 
 
-def _add_kronecker(values: dict, ga: Mapping, gb: Mapping, sign: int, x: int) -> None:
-    # values[i+k, p, q'] += sign f(x + k) g(x) for each row t^i f(D) E[p,q] of ga and
-    # t^k g(D) E[q,q'] of gb: their product t^(i+k) f(D+k) g(D) E[p,q'] at D = x.
+def _add_kronecker(values: dict, na: Mapping, nb: Mapping, sign: int, x: int) -> None:
+    # values[i+k, p, q'] += sign f(x + k) g(x) for each row t^i f(D) E[p,q] of a and
+    # t^k g(D) E[q,q'] of b: their product t^(i+k) f(D+k) g(D) E[p,q'] at D = x.
     partners: dict = {}  # p -> k -> [(q', sign g(x))]
-    for (k, p, q), g in gb.items():
-        gx = sign * _horner(sorted(g, reverse=True), x)
+    for (k, p, q), g in nb.items():
+        gx = sign * _horner(_descending(g), x)
         partners.setdefault(p, {}).setdefault(k, []).append((q, gx))
-    for (i, p, q), f in ga.items():
-        f = sorted(f, reverse=True)
+    for (i, p, q), f in na.items():
+        f = _descending(f)
         for k, row in partners.get(q, {}).items():
             fx = _horner(f, x + k)
             for q2, gx in row:
                 values[i + k, p, q2] = values.get((i + k, p, q2), 0) + fx * gx
 
 
-def _dense_products(ga: Mapping, gb: Mapping, den: int, bracket: bool) -> tuple[dict, int]:
-    # Normal form of ab, or ab - ba if bracket, from rows _d_polys: row H is read from H(2^bits).
-    bound = _kronecker_bound(ga, gb) + (_kronecker_bound(gb, ga) if bracket else 0)
+def _dense_products(na: Mapping, nb: Mapping, den: int, bracket: bool) -> tuple[dict, int]:
+    # Normal form of ab, or ab - ba if bracket, on rows: row H is read off H(2^bits).
+    bound = _kronecker_bound(na, nb) + (_kronecker_bound(nb, na) if bracket else 0)
     bits = bound.bit_length() + 1
     values: dict = {}
-    _add_kronecker(values, ga, gb, 1, 1 << bits)
+    _add_kronecker(values, na, nb, 1, 1 << bits)
     if bracket:
-        _add_kronecker(values, gb, ga, -1, 1 << bits)
-    width = sum(max(j for words in g.values() for j, _ in words) for g in (ga, gb)) + 1
+        _add_kronecker(values, nb, na, -1, 1 << bits)
+    width = max(map(len, na.values())) + max(map(len, nb.values())) - 1
     mask, half, rows = (1 << bits) - 1, 1 << (bits - 1), {}
     for key, n in values.items():
         row = rows[key] = []
@@ -318,16 +306,14 @@ def _dense_products(ga: Mapping, gb: Mapping, den: int, bracket: bool) -> tuple[
                 d -= mask + 1
             row.append(d)
             n = (n - d) >> bits
-    return _from_rows(rows, den)
+    return _reduced_rows(rows, den)
 
 
 def _products(a: AlgebraElement, b: AlgebraElement, bracket: bool) -> AlgebraElement:
     _check_pair(a, b, AlgebraElement)
     na, nb, den = a.nums, b.nums, a.den * b.den
-    if len(na) * len(nb) >= DENSE_PAIRS:
-        ga, gb = _d_polys(na), _d_polys(nb)
-        if len(na) + len(nb) >= DENSE_WORDS_PER_ROW * (len(ga) + len(gb)):
-            return AlgebraElement._raw(a.rank, _dense_products(ga, gb, den, bracket), _ZERO)
+    if _dense_route(na, nb):
+        return AlgebraElement._raw(a.rank, _dense_products(na, nb, den, bracket), _ZERO)
     return AlgebraElement._raw(a.rank, _word_products(na, nb, den, bracket), _ZERO)
 
 
@@ -347,22 +333,17 @@ def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def _change_basis(nums: Mapping, convert) -> dict:
-    # The numerators in the other basis: each row (i, p, q) is converted once as a
-    # dense D-row, and a one-word row c X^j is c times X^j, converted once per call.
+    # The rows in the other basis, each converted once; a one-word row c X^j is c times
+    # X^j, converted once per call.  Both maps keep a row's length and top coefficient.
     out: dict = {}
     units: dict = {}
-    for (i, p, q), words in _d_polys(nums).items():
-        if len(words) == 1:
-            ((j, scale),) = words
-            row = units.get(j) or units.setdefault(j, convert([0] * j + [1]))
+    for key, row in nums.items():
+        j = len(row) - 1
+        if any(row[:j]):
+            out[key] = tuple(convert(row))
         else:
-            row, scale = [0] * (max(words)[0] + 1), 1
-            for j, c in words:
-                row[j] = c
-            row = convert(row)
-        for s, c in enumerate(row):
-            if c:
-                out[i, s, p, q] = scale * c
+            unit = units.get(j) or units.setdefault(j, convert([0] * j + [1]))
+            out[key] = tuple([row[j] * c for c in unit])
     return out
 
 
@@ -397,7 +378,7 @@ def _psi_weight(i: int, j: int, l: int) -> int:
 
 
 def _psi_total(cells_a, cells_b) -> int:
-    # Sum of ca cb psi over pairs of falling words, each given as ((i, j, p, q), c).
+    # Sum of ca cb psi over pairs of falling words, each given as ((i, j, p, q), c) by _words.
     # The words of b are indexed by (k, p', q'), so a word of a meets only
     # its partners (-i, q, p).
     partners: dict = {}
@@ -417,8 +398,14 @@ def _psi_points(r: int) -> range:
     return range(-r, 0)
 
 
+def _descending(row) -> list:
+    # The nonzero (j, c) of a D-row, highest j first, as _horner takes them.
+    return [(j, row[j]) for j in range(len(row) - 1, -1, -1) if row[j]]
+
+
 def _horner(words, x: int) -> int:
-    # f(x) by Horner's rule over the (j, c) words of f in descending j, one x**gap a step.
+    # f(x) by Horner's rule over the (j, c) words of f in descending j, one x**gap a step,
+    # so that a run of zero numerators costs one power, not one product per zero.
     acc, top = 0, words[0][0]
     for j, c in words:
         acc, top = acc * x ** (top - j) + c, j
@@ -426,8 +413,8 @@ def _horner(words, x: int) -> int:
 
 
 def _psi_closed(f, g, r: int) -> int:
-    # Sum of f(x) g(x + r) over _psi_points(r); f, g are (j, c) pairs.
-    f, g = sorted(f, reverse=True), sorted(g, reverse=True)
+    # Sum of f(x) g(x + r) over _psi_points(r); f, g are D-rows.
+    f, g = _descending(f), _descending(g)
     return sum(_horner(f, x) * _horner(g, x + r) for x in _psi_points(r))
 
 
@@ -436,15 +423,14 @@ def cocycle_psi(a: AlgebraElement, b: AlgebraElement) -> Fraction:
 
     In the Kac-Radul closed form: for r > 0,
     psi(t^r f(D) A, t^-r g(D) B) = tr(AB) sum_{x=-r}^{-1} f(x) g(x+r),
-    antisymmetric for r < 0 and zero unless the t powers cancel.  A group
-    (i, p, q) of a meets only the group (-i, q, p) of b; central parts of
+    antisymmetric for r < 0 and zero unless the t powers cancel.  A row
+    (i, p, q) of a meets only the row (-i, q, p) of b; central parts of
     the inputs contribute nothing.
     """
     _check_pair(a, b, AlgebraElement)
-    gb = _d_polys(b.nums)
-    total = 0
-    for (i, p, q), f in _d_polys(a.nums).items():
-        g = gb.get((-i, q, p))
+    nb, total = b.nums, 0
+    for (i, p, q), f in a.nums.items():
+        g = nb.get((-i, q, p))
         if g is None or not i:
             continue
         total += _psi_closed(f, g, i) if i > 0 else -_psi_closed(g, f, -i)
@@ -471,21 +457,22 @@ def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingEleme
     """
     _check_pair(a, b, FallingElement)
     na, nb, den = a.nums, b.nums, a.den * b.den
-    central = Fraction(_psi_total(na.items(), nb.items()), den)
+    central = Fraction(_psi_total(_words(na), _words(nb)), den)
     return FallingElement._raw(a.rank, _word_products(na, nb, den, True, True), central)
 
 
 def homogeneous_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
     """Split an element by principal grade; the zero element gives {}."""
     buckets: dict[int, dict] = {}
-    for key, c in a.nums.items():
-        buckets.setdefault(degree(tuple.__new__(Monomial, key), a.rank), {})[key] = c
+    for (i, p, q), row in a.nums.items():  # every word of a row has one grade
+        grade = degree(Monomial(i, len(row) - 1, p, q), a.rank)
+        buckets.setdefault(grade, {})[i, p, q] = row
     if a.central:
         buckets.setdefault(0, {})
     central = {0: a.central}
     return {
-        d: AlgebraElement._raw(a.rank, _from_ints(nums.items(), a.den), central.get(d, _ZERO))
-        for d, nums in sorted(buckets.items())
+        d: AlgebraElement._raw(a.rank, _reduced_rows(rows, a.den), central.get(d, _ZERO))
+        for d, rows in sorted(buckets.items())
     }
 
 
@@ -506,12 +493,14 @@ def sigma(a: AlgebraElement) -> AlgebraElement:
     if a.central:
         raise ValueError("sigma is defined on central-free elements only")
     out: dict = {}
-    for (i, j, p, q), c in a.nums.items():
-        scale = c * _sigma_sign(j)
-        for u, w in _product_expansion(j, i):
-            key = (i, u, q, p)
-            out[key] = out.get(key, 0) + scale * w
-    return AlgebraElement._raw(a.rank, _from_ints(out.items(), a.den), _ZERO)
+    for (i, p, q), row in a.nums.items():  # row (i, p, q) goes to row (i, q, p) alone
+        acc = out[i, q, p] = [0] * len(row)
+        for j, c in enumerate(row):
+            if c:
+                c *= _sigma_sign(j)
+                for u, w in _product_expansion(j, i):
+                    acc[u] += c * w
+    return AlgebraElement._raw(a.rank, _reduced_rows(out, a.den), _ZERO)
 
 
 def embed_scalar(i: int, j: int, rank: int) -> AlgebraElement:

@@ -246,12 +246,32 @@ def _cmd_verify(args):
     return verify.run_suite(verify.SuiteConfig(**given))
 
 
+def _over_limit(args) -> str | None:
+    """The refusal of the first size flag given above its limit, or None."""
+    limits = (
+        ("--n", "rank", expr.MAX_RANK, getattr(args, "ranks", None) or [getattr(args, "n", 1)]),
+        (
+            "--m",
+            "Jordan block size",
+            expr.MAX_JORDAN,
+            getattr(args, "m_values", None) or [getattr(args, "m", 1)],
+        ),
+        ("--i-bound", "t power bound", expr.MAX_I_BOUND, [getattr(args, "i_bound", 0)]),
+        ("--j-bound", "D power bound", expr.MAX_J_BOUND, [getattr(args, "j_bound", 0)]),
+    )
+    for flag, what, top, values in limits:
+        if max(values) > top:
+            return f"argument {flag}: {what} above the limit {top}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if max(getattr(args, "ranks", None) or [getattr(args, "n", 1)]) > expr.MAX_RANK:
-            parser.error(f"argument --n: rank above the limit {expr.MAX_RANK}")
+        refusal = _over_limit(args)
+        if refusal:
+            parser.error(refusal)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -14,7 +14,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import starmap, zip_longest
+from operator import add
 from typing import Iterable, Mapping
 
 # The base scalar type.  Fraction already maintains the canonical form we
@@ -116,7 +117,12 @@ def _convolve(a, b) -> list[int]:
 
 
 def _power(base, exponent: int) -> list[int]:
-    # Numerators of base^exponent, by repeated squaring.
+    # Numerators of base^exponent: by the binomial theorem for a linear base (every module
+    # parameter the CLI builds, shifted), where squaring would cost quadratic big-int work;
+    # by repeated squaring otherwise.
+    if len(base) == 2:
+        c0, c1 = base
+        return [math.comb(exponent, e) * c0 ** (exponent - e) * c1**e for e in range(exponent + 1)]
     result = [1]
     while exponent:
         if exponent & 1:
@@ -127,33 +133,41 @@ def _power(base, exponent: int) -> list[int]:
 
 
 def _reduced(nums: list[int], den: int) -> "Poly":
-    # Normal form: no trailing zeros, gcd(den, *nums) = 1, den > 0; so the
-    # zero polynomial has den = 1.
-    while nums and not nums[-1]:
-        nums.pop()
-    g = math.gcd(den, *nums)
-    if g != 1:
-        den //= g
-        nums = [c // g for c in nums]
+    # The Poly nums/den in the normal form of _reduced_rows, as one row; zero has den = 1.
+    rows, den = _reduced_rows({0: nums}, den)
     poly = object.__new__(Poly)
-    poly.nums = tuple(nums)
-    poly.den = den
+    poly.nums, poly.den = rows.get(0, ()), den
     return poly
 
 
 def _reduced_rows(rows: Mapping, den: int) -> tuple[dict, int]:
     # Normal form (rows, den) of key -> numerators (ascending power) over den > 0: trailing
     # zeros popped in place (from list rows), empty rows dropped, one gcd over all numerators.
-    for row in rows.values():
+    nums, g = {}, den
+    for key, row in rows.items():
         while row and not row[-1]:
             row.pop()
-    g = math.gcd(den, *chain.from_iterable(rows.values()))
-    nums = {
-        key: tuple(row) if g == 1 else tuple(c // g for c in row)
-        for key, row in rows.items()
-        if row
-    }
+        if row:
+            nums[key] = row
+            if g != 1:
+                g = math.gcd(g, *row)
+    div = g.__rfloordiv__
+    for key, row in nums.items():
+        nums[key] = tuple(row) if g == 1 else tuple(map(div, row))
     return nums, den // g
+
+
+def _sum_rows(a: Mapping, da: int, b: Mapping, db: int, sign: int) -> tuple[dict, int]:
+    # Normal form of a/da + sign * b/db, a and b in that normal form: a row scaled by 1 is
+    # kept as it is, and only the rows that a and b share are added.
+    g = math.gcd(da, db)
+    fa, fb = db // g, sign * da // g
+    out = dict(a) if fa == 1 else {key: tuple(map(fa.__mul__, row)) for key, row in a.items()}
+    for key, row in b.items():
+        acc = out.get(key)
+        row = row if fb == 1 else tuple(map(fb.__mul__, row))
+        out[key] = row if acc is None else list(starmap(add, zip_longest(acc, row, fillvalue=0)))
+    return _reduced_rows(out, da * fa)
 
 
 class Poly:

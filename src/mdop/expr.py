@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import AlgebraElement, FallingElement, Monomial
+from .algebra import AlgebraElement, FallingElement, Monomial, _words
 from .exact import Poly, falling_to_power_coeffs
 
 if TYPE_CHECKING:  # reps is imported where a vector is parsed
@@ -49,6 +49,14 @@ MAX_RANK = 16
 # whose t powers cancel costs in proportion to that power; README
 # "Resource limits" gives the measured cost at the limit.
 MAX_T_POWER = 1200
+
+# The largest Jordan block size (act's --m, every entry of verify's --m) and
+# verify's largest --i-bound and --j-bound.  vector_field_bracket walks
+# (2 i + 1)^2 word pairs and associativity multiplies D powers up to j;
+# README "Resource limits" gives the cost at the limits.
+MAX_JORDAN = 16
+MAX_I_BOUND = 12
+MAX_J_BOUND = 12
 
 
 class ParseError(ValueError):
@@ -407,7 +415,7 @@ def _signed_piece(num: int, den: int, body: str, sep: str = " ") -> tuple[int, s
 
 def _format_opsum(e, d_symbol: str) -> str:
     pieces: list[tuple[int, str]] = []
-    for (i, j, p, q), num in sorted(e.nums.items()):
+    for (i, j, p, q), num in sorted(_words(e.nums)):
         atoms = []
         if i:
             atoms.append("t" if i == 1 else f"t^{i}")
@@ -470,7 +478,7 @@ def element_to_json(e: AlgebraElement) -> dict:
         "central": str(e.central),
         "terms": [
             {"i": i, "j": j, "p": p, "q": q, "coeff": _ratio(num, e.den)}
-            for (i, j, p, q), num in sorted(e.nums.items())
+            for (i, j, p, q), num in sorted(_words(e.nums))
         ],
     }
 

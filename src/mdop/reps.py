@@ -7,10 +7,11 @@ size m replaces the scalar module parameter by an indecomposable
 transformation; the central generator acts as zero on every family.
 
 A vector is a finite-support map (k, r, s) -> Poly, where k shifts the
-parameter exponent, r picks the matrix slot, and s the Jordan slot.  Like
-an element, it is stored as integer numerators over one denominator (nums,
-den), here a tuple per slot in ascending powers of the parameter; act,
-pairing and the arithmetic loop on them, and .entries builds Polys per read.
+parameter exponent, r picks the matrix slot, and s the Jordan slot.  It is
+stored as an element is, in the normal form of exact._reduced_rows: a tuple
+of integer numerators per slot, in ascending powers of the parameter, over
+one denominator.  act, pairing and the arithmetic loop on them, act reads
+the element's D-rows as they are, and .entries builds Polys per read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Mapping
 
 from . import algebra
 from .algebra import AlgebraElement, Monomial, embed_scalar
-from .exact import DimensionError, Poly, _convolve, _jordan_power_cached, _reduced, _reduced_rows
+from .exact import DimensionError, Poly, _convolve, _jordan_power_cached, _reduced
+from .exact import _reduced_rows, _sum_rows
 
 _POLY_ZERO = Poly(())
 _POLY_ONE = Poly.const(1)
@@ -165,15 +167,8 @@ class ModuleVector:
             return NotImplemented
         if self.params != other.params:
             raise DimensionError("module parameters differ")
-        g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, sign * self.den // g
-        out = {key: [c * fa for c in row] for key, row in self.nums.items()}
-        for key, row in other.nums.items():
-            acc = out.setdefault(key, [])
-            acc.extend([0] * (len(row) - len(acc)))
-            for idx, c in enumerate(row):
-                acc[idx] += c * fb
-        return ModuleVector._raw(self.params, _reduced_rows(out, self.den * fa))
+        normal = _sum_rows(self.nums, self.den, other.nums, other.den, sign)
+        return ModuleVector._raw(self.params, normal)
 
     def __neg__(self) -> ModuleVector:
         return self * -1
@@ -216,28 +211,33 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
     slots: dict[int, list] = {}
     for (k, r, s), cv in v.nums.items():
         slots.setdefault(r, []).append((k, s, cv))
-    j_max = max([key[1] for key in x.nums], default=0)
+    j_max = max(map(len, x.nums.values()), default=1) - 1
     lifts = [pden**e for e in range(j_max + 1)]
     width = max(map(len, v.nums.values()), default=0)
     width += (max(len(pnums), 1) - 1) * j_max
     out: dict[tuple[int, int, int], list] = {}
-    for (i, j, p, q), cx in x.nums.items():
-        if twisted:
-            source, target, cx = p, q, cx * algebra._sigma_sign(j)
-        else:
-            source, target = q, p
-        for k, s, cv in slots.get(source, ()):
-            band = _jordan_power_cached(pnums, pden, i + k if twisted else k, m, j)
-            for d, row in enumerate(band[:s]):
-                key = (i + k, target, s - d)
-                acc = out.get(key)
-                if acc is None:
-                    acc = out[key] = [0] * width
-                w = cx * lifts[j_max - j + d]
-                for a, ca in enumerate(cv):
-                    c = w * ca
-                    for b, cb in enumerate(row):
-                        acc[a + b] += c * cb
+    for (i, p, q), x_row in x.nums.items():
+        source, target = (p, q) if twisted else (q, p)
+        partners = slots.get(source)
+        if partners is None:  # no slot of v meets this row
+            continue
+        for j, cx in enumerate(x_row):
+            if not cx:
+                continue
+            if twisted:
+                cx *= algebra._sigma_sign(j)
+            for k, s, cv in partners:
+                band = _jordan_power_cached(pnums, pden, i + k if twisted else k, m, j)
+                for d, row in enumerate(band[:s]):
+                    key = (i + k, target, s - d)
+                    acc = out.get(key)
+                    if acc is None:
+                        acc = out[key] = [0] * width
+                    w = cx * lifts[j_max - j + d]
+                    for a, ca in enumerate(cv):
+                        c = w * ca
+                        for b, cb in enumerate(row):
+                            acc[a + b] += c * cb
     return ModuleVector._raw(params, _reduced_rows(out, x.den * v.den * lifts[j_max]))
 
 

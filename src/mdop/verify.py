@@ -158,12 +158,12 @@ def sample_element(
     over 6 and the element is built in normal form, bypassing validation.
     """
     bits = rng.getrandbits
-    nums: dict[tuple[int, int, int, int], int] = {}
+    rows: dict[tuple[int, int, int], list[int]] = {}
     for _ in range(_below(bits, 3) + 1):
-        key = _sample_word(bits, rank, i_bound, j_bound)
-        nums[key] = nums.get(key, 0) + _sample_num(bits)
+        i, j, p, q = _sample_word(bits, rank, i_bound, j_bound)
+        rows.setdefault((i, p, q), [0] * (j_bound + 1))[j] += _sample_num(bits)
     central = _sample_coeff(rng) if allow_central and rng.random() < 0.3 else 0
-    return cls._raw(rank, algebra._from_ints(nums.items(), 6), central)
+    return cls._raw(rank, _reduced_rows(rows, 6), central)
 
 
 def sample_falling_element(

@@ -488,6 +488,35 @@ class TestRankLimit:
         assert code == 0 and out.split() == list(available_checks())
 
 
+class TestSizeLimits:
+    # (argv with the value above the limit in place of {}, flag, what, limit)
+    CASES = [
+        (("verify", "--i-bound", "{}"), "--i-bound", "t power bound", expr.MAX_I_BOUND),
+        (("verify", "--j-bound", "{}"), "--j-bound", "D power bound", expr.MAX_J_BOUND),
+        (("verify", "--m", "1,{}"), "--m", "Jordan block size", expr.MAX_JORDAN),
+        (("act", "--m", "{}", "t", "v[0,1]"), "--m", "Jordan block size", expr.MAX_JORDAN),
+    ]
+
+    @pytest.mark.parametrize("argv,flag,what,top", CASES, ids=[c[0][0] + c[1] for c in CASES])
+    def test_a_size_above_the_limit_is_refused(self, capsys, argv, flag, what, top):
+        argv = [a.format(top + 1) for a in argv]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: argument {flag}: {what} above the limit {top}\n"
+
+    def test_the_limits_themselves_are_accepted(self, capsys):
+        top_i, top_j, top_m = expr.MAX_I_BOUND, expr.MAX_J_BOUND, expr.MAX_JORDAN
+        code, out, _ = run_cli(
+            capsys, "verify", "--i-bound", str(top_i), "--j-bound", str(top_j),
+            "--m", f"1,{top_m}", "--list-checks",
+        )
+        assert code == 0 and out.split() == list(available_checks())
+        code, out, _ = run_cli(capsys, "act", "--m", str(top_m), "t", f"v[0,1,{top_m}]")
+        assert (code, out) == (0, f"v[1,1,{top_m}]\n")
+
+
 def _stirling_first_row(j):
     # Coefficients of x(x-1)...(x-j+1), multiplied out factor by factor.
     poly = [1]

@@ -11,6 +11,7 @@ from mdop import algebra, reps
 from mdop.exact import Poly
 from mdop.reps import Family, ModuleParams
 from mdop.verify import sample_element, sample_falling_element, sample_module_vector
+from row_store import assert_rows_normal
 
 # Derandomized, so that every run of the suite tries the same examples.
 examples = settings(deadline=None, derandomize=True, max_examples=150)
@@ -166,14 +167,17 @@ term_maps = st.dictionaries(words, st.one_of(rationals, st.integers(-3, 3)), max
 
 
 def assert_element_normal(e):
-    assert e.den > 0
-    assert math.gcd(e.den, *e.nums.values()) == 1
-    for key, n in e.nums.items():
-        assert type(n) is int and n
-        assert type(key) is tuple and len(key) == 4 and all(type(x) is int for x in key)
+    assert_rows_normal(e.nums, e.den)
+    for i, p, q in e.nums:
+        assert 1 <= p <= e.rank and 1 <= q <= e.rank
     terms = e.terms
     assert all(type(m) is algebra.Monomial for m in terms)
-    assert terms == {algebra.Monomial(*key): Fraction(n, e.den) for key, n in e.nums.items()}
+    assert terms == {
+        algebra.Monomial(i, j, p, q): Fraction(n, e.den)
+        for (i, p, q), row in e.nums.items()
+        for j, n in enumerate(row)
+        if n
+    }
     assert type(e)(e.rank, terms, e.central) == e
     before = (dict(e.nums), e.den)
     terms.clear()

@@ -1,7 +1,6 @@
 """Property tests of the module-vector store: integer numerators over one
 denominator, against a per-entry Poly reference written here."""
 
-import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -20,6 +19,7 @@ from mdop.reps import (
     residue_slice,
 )
 from mdop.verify import sample_element
+from row_store import assert_rows_normal
 
 ZERO = Poly(())
 
@@ -46,14 +46,9 @@ def draw_vector(rng, params):
 
 
 def assert_normal(v):
-    assert type(v.den) is int and v.den > 0
-    assert math.gcd(v.den, *(c for row in v.nums.values() for c in row)) == 1
-    for (k, r, s), row in v.nums.items():
+    assert_rows_normal(v.nums, v.den)
+    for k, r, s in v.nums:
         assert 1 <= r <= v.params.rank and 1 <= s <= v.params.m
-        assert type(row) is tuple and row and row[-1]
-        assert all(type(c) is int for c in row)
-    if not v.nums:
-        assert v.den == 1
 
 
 def ref_combine(a, b, sign):
