@@ -27,16 +27,18 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .exact import (
     CACHE_SIZE,
     DimensionError,
     _as_fraction,
+    _exact,
     _falling_row,
     _power_row,
     _reduced_rows,
     _sum_rows,
+    _summed_rows,
     gen_binomial,
 )
 
@@ -68,6 +70,7 @@ class _OperatorSum:
     Shared implementation of the power-basis and falling-basis element
     types; the two are distinct classes so they never mix silently.
     Coefficients must be exact (int or Fraction); others raise TypeError.
+    terms is a mapping or (word, coefficient) pairs; repeated words add up.
     They are stored as a module vector's are: nums, (i, p, q) -> nonempty int
     tuple by D power without trailing zero, over den > 0 with gcd(den, *all
     nums) = 1; .terms builds Monomial -> Fraction on each read.
@@ -75,29 +78,21 @@ class _OperatorSum:
 
     __slots__ = ("rank", "nums", "den", "central")
 
-    def __init__(self, rank: int, terms: Mapping[Monomial, object] | None = None, central=0):
+    def __init__(self, rank: int, terms: Mapping | Iterable = (), central=_ZERO):
         if not isinstance(rank, int) or rank < 1:
             raise DimensionError("rank must be a positive integer")
-        table: dict[tuple, Fraction] = {}
-        if terms:
-            for mono, coeff in dict(terms).items():
-                if not isinstance(mono, Monomial):
-                    mono = Monomial(*mono)
-                if mono.j < 0:
-                    raise ValueError(f"negative D power in {mono}")
-                if not (1 <= mono.p <= rank and 1 <= mono.q <= rank):
-                    raise DimensionError(f"matrix indices of {mono} out of range for rank {rank}")
-                value = _as_fraction(coeff)
-                if value:
-                    table[tuple(mono)] = value
-        den = math.lcm(*[c.denominator for c in table.values()])
-        rows: dict = {}
-        for (i, j, p, q), c in table.items():
-            row = rows.setdefault((i, p, q), [])
-            row.extend([0] * (j + 1 - len(row)))
-            row[j] = c.numerator * (den // c.denominator)
+        words = []
+        for mono, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
+            if not isinstance(mono, Monomial):
+                mono = Monomial(*mono)
+            if mono.j < 0:
+                raise ValueError(f"negative D power in {mono}")
+            if not (1 <= mono.p <= rank and 1 <= mono.q <= rank):
+                raise DimensionError(f"matrix indices of {mono} out of range for rank {rank}")
+            c = _exact(coeff)
+            words.append(((mono.i, mono.p, mono.q), mono.j, c.numerator, c.denominator))
         self.rank = rank
-        self.nums, self.den = _reduced_rows(rows, den)
+        self.nums, self.den = _summed_rows(words)
         self.central = _as_fraction(central)
 
     @classmethod
@@ -115,7 +110,7 @@ class _OperatorSum:
 
     @classmethod
     def term(cls, rank: int, i: int, j: int, p: int, q: int, coeff=1):
-        return cls(rank, {Monomial(i, j, p, q): coeff})
+        return cls(rank, ((Monomial(i, j, p, q), coeff),))
 
     @classmethod
     def central_term(cls, rank: int, coeff=1):
@@ -125,9 +120,6 @@ class _OperatorSum:
     def terms(self) -> dict[Monomial, Fraction]:
         new, den = tuple.__new__, self.den
         return {new(Monomial, key): Fraction(n, den) for key, n in _words(self.nums)}
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items())
 
     def __bool__(self) -> bool:
         return bool(self.nums) or bool(self.central)
@@ -175,7 +167,7 @@ class _OperatorSum:
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(rank={self.rank}, "
-            f"terms={self.sorted_terms()!r}, central={self.central!r})"
+            f"terms={sorted(self.terms.items())!r}, central={self.central!r})"
         )
 
 

@@ -32,14 +32,15 @@ class DimensionError(ValueError):
     """Size or rank mismatch between operands."""
 
 
-def _as_fraction(value) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
+def _exact(value):
+    # An int or a Fraction as it is: both carry .numerator and .denominator.
+    if isinstance(value, (int, Fraction)):
         return value
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+
+
+def _as_fraction(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(_exact(value))
 
 
 def gen_binomial(top: int, s: int) -> int:
@@ -132,12 +133,16 @@ def _power(base, exponent: int) -> list[int]:
     return result
 
 
+def _poly(normal: tuple[dict, int]) -> "Poly":
+    # The Poly of a one-row normal form (rows, den), as _reduced_rows returns it.
+    poly = object.__new__(Poly)
+    poly.nums, poly.den = normal[0].get(0, ()), normal[1]
+    return poly
+
+
 def _reduced(nums: list[int], den: int) -> "Poly":
     # The Poly nums/den in the normal form of _reduced_rows, as one row; zero has den = 1.
-    rows, den = _reduced_rows({0: nums}, den)
-    poly = object.__new__(Poly)
-    poly.nums, poly.den = rows.get(0, ()), den
-    return poly
+    return _poly(_reduced_rows({0: nums}, den))
 
 
 def _reduced_rows(rows: Mapping, den: int) -> tuple[dict, int]:
@@ -170,6 +175,18 @@ def _sum_rows(a: Mapping, da: int, b: Mapping, db: int, sign: int) -> tuple[dict
     return _reduced_rows(out, da * fa)
 
 
+def _summed_rows(words: list) -> tuple[dict, int]:
+    # Normal form of the sum of the words (key, e, num, den), each num/den at power e of row
+    # key: the one place where input terms accumulate, repeated words added.
+    den = math.lcm(*[w[3] for w in words])
+    rows: dict = {}
+    for key, e, num, d in words:
+        row = rows.setdefault(key, [])
+        row.extend([0] * (e + 1 - len(row)))
+        row[e] += num * (den // d)
+    return _reduced_rows(rows, den)
+
+
 class Poly:
     """Univariate polynomial over the rationals.
 
@@ -183,9 +200,8 @@ class Poly:
     __slots__ = ("nums", "den")
 
     def __new__(cls, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        den = math.lcm(*[c.denominator for c in cs])
-        return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
+        words = [(0, e, c.numerator, c.denominator) for e, c in enumerate(map(_exact, coeffs))]
+        return _poly(_summed_rows(words))
 
     @staticmethod
     def const(value) -> Poly:
@@ -200,8 +216,8 @@ class Poly:
     def _coerce(value) -> "Poly | None":
         if isinstance(value, Poly):
             return value
-        if isinstance(value, (int, Fraction)):
-            return _reduced([value.numerator], value.denominator)
+        if isinstance(value, (int, Fraction)):  # already in lowest terms
+            return _poly(({0: (value.numerator,)} if value else {}, value.denominator))
         return None
 
     @property
@@ -250,34 +266,23 @@ class Poly:
         return poly
 
     def __add__(self, other):
-        if type(other) is not Poly:
-            other = Poly._coerce(other)
-            if other is None:
-                return NotImplemented
-        a, b = self.nums, other.nums
-        g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, self.den // g
-        den = self.den * fa
-        if len(a) < len(b):
-            a, b, fa, fb = b, a, fb, fa
-        out = [c * fa for c in a]
-        for idx, c in enumerate(b):
-            out[idx] += c * fb
-        return _reduced(out, den)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        coerced = Poly._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self + (-coerced)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        coerced = Poly._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced + (-self)
+        return -self + other
+
+    def _combine(self, other, sign: int):
+        # self + sign * other, on the one-row store
+        if type(other) is not Poly:
+            other = Poly._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _poly(_sum_rows({0: self.nums}, self.den, {0: other.nums}, other.den, sign))
 
     def __mul__(self, other):
         if type(other) is not Poly:
@@ -304,6 +309,8 @@ def jordan_shifted_power(base, m: int, j: int) -> tuple[Poly, ...]:
     The power is upper-triangular and constant along each diagonal, so
     entry d of the band, binom(j, d) * base^(j-d), is its value on the d-th
     superdiagonal; the band stops at d = min(m, j+1) - 1 because J^m = 0.
+    It is computed by Poly arithmetic, not read from the memo that act reads
+    (_jordan_power_cached), so that it can serve as act's reference.
     """
     if m < 1:
         raise ValueError("Jordan block size must be positive")
@@ -312,8 +319,7 @@ def jordan_shifted_power(base, m: int, j: int) -> tuple[Poly, ...]:
     poly = Poly._coerce(base)
     if poly is None:
         raise TypeError("base must be an exact scalar or Poly")
-    rows = _jordan_power_cached(poly.nums, poly.den, 0, m, j)
-    return tuple(_reduced(list(row), poly.den ** (j - d)) for d, row in enumerate(rows))
+    return tuple(math.comb(j, d) * poly ** (j - d) for d in range(min(m, j + 1)))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

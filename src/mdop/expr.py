@@ -34,8 +34,6 @@ from .exact import Poly, falling_to_power_coeffs
 if TYPE_CHECKING:  # reps is imported where a vector is parsed
     from .reps import ModuleParams, ModuleVector
 
-_POLY_ONE = Poly.const(1)
-
 # The highest power of D one term may carry, D and FD atoms counted
 # together.  The cost of a product, bracket or basis change grows with it;
 # README "Resource limits" gives the measured cost of calls at the limit.
@@ -49,6 +47,13 @@ MAX_RANK = 16
 # whose t powers cancel costs in proportion to that power; README
 # "Resource limits" gives the measured cost at the limit.
 MAX_T_POWER = 1200
+
+# The highest degree in a of one vector coefficient, the product of its factors.
+# act multiplies each coefficient into every band row of its slot, so its cost
+# grows with this degree; README "Resource limits" gives the cost at the limit.
+# The grade shift k of a slot v[k,r] is bounded by MAX_T_POWER: a slot shift
+# and a t power move along the same grading.
+MAX_A_DEGREE = 16
 
 # The largest Jordan block size (act's --m, every entry of verify's --m) and
 # verify's largest --i-bound and --j-bound.  vector_field_bracket walks
@@ -145,13 +150,10 @@ class _TokenStream:
 
 
 def _parse_signed_int(ts: _TokenStream, what: str) -> int:
-    negative = False
-    if ts.accept_op("-"):
-        negative = True
-    elif ts.accept_op("+"):
-        pass
-    value = ts.expect_int(what)
-    return -value if negative else value
+    sign = -1 if ts.accept_op("-") else 1
+    if sign > 0:
+        ts.accept_op("+")
+    return sign * ts.expect_int(what)
 
 
 def _parse_coefficient(ts: _TokenStream) -> Fraction | None:
@@ -206,7 +208,7 @@ def _parse_matrix_ref(ts: _TokenStream, rank: int) -> tuple[int, int]:
 
 
 def _parse_term(ts: _TokenStream, rank: int):
-    """One additive term.  Returns (central_coeff | None, {Monomial: Fraction})."""
+    """One additive term as (central coefficient, [(Monomial, coefficient)])."""
     start = ts.peek().pos
     coeff = _parse_coefficient(ts)
     i = 0
@@ -254,34 +256,24 @@ def _parse_term(ts: _TokenStream, rank: int):
     if is_central:
         if i or j_power or j_falling is not None or matrix is not None:
             ts.error("C cannot be combined with other atoms")
-        return coeff, {}
+        return coeff, ()
     slots = [matrix] if matrix is not None else [(r, r) for r in range(1, rank + 1)]
-    weights = (
-        falling_to_power_coeffs(j_falling) if j_falling is not None else (Fraction(1),)
-    )
-    contrib: dict[Monomial, Fraction] = {}
-    for p, q in slots:
-        for s, w in enumerate(weights):
-            if not w:
-                continue
-            key = Monomial(i, j_power + s, p, q)
-            contrib[key] = contrib.get(key, Fraction(0)) + coeff * w
-    return None, contrib
+    weights = falling_to_power_coeffs(j_falling) if j_falling is not None else (1,)
+    return 0, [
+        (Monomial(i, j_power + s, p, q), coeff * w)
+        for p, q in slots for s, w in enumerate(weights) if w
+    ]
 
 
 def parse_element(text: str, rank: int) -> AlgebraElement:
     """Parse an operator expression; FD atoms land in the power basis."""
     ts = _TokenStream(text)
-    terms: dict[Monomial, Fraction] = {}
-    central = Fraction(0)
-    for sign, (central_part, contrib) in _signed_terms(ts, lambda ts: _parse_term(ts, rank)):
-        if central_part is not None:
-            central += sign * central_part
-        else:
-            for key, c in contrib.items():
-                terms[key] = terms.get(key, Fraction(0)) + sign * c
+    words, central = [], 0
+    for sign, (central_part, term_words) in _signed_terms(ts, lambda ts: _parse_term(ts, rank)):
+        central += sign * central_part
+        words += [(mono, sign * c) for mono, c in term_words]
     ts.expect_end()
-    return AlgebraElement(rank, terms, central)
+    return AlgebraElement(rank, words, central)
 
 
 def _parse_poly_term(ts: _TokenStream) -> Poly:
@@ -291,37 +283,34 @@ def _parse_poly_term(ts: _TokenStream) -> Poly:
     if tok.kind == "NAME" and tok.text == "a":
         ts.advance()
         exponent = _parse_exponent(ts, "a", allow_negative=False)
+        if exponent > MAX_A_DEGREE:
+            raise ParseError(f"degree in a above the limit {MAX_A_DEGREE}", tok.pos)
     elif coeff is None:
         ts.error("expected a coefficient or 'a'")
-    return Poly([0] * exponent + [Fraction(1) if coeff is None else coeff])
+    return Poly([0] * exponent + [1 if coeff is None else coeff])
 
 
 def _parse_poly_sum(ts: _TokenStream) -> Poly:
-    total = Poly(())
-    for sign, part in _signed_terms(ts, _parse_poly_term):
-        total = total + (part if sign == 1 else -part)
-    return total
+    return sum((sign * part for sign, part in _signed_terms(ts, _parse_poly_term)), Poly(()))
 
 
 def _parse_poly_coefficient(ts: _TokenStream) -> Poly | None:
-    factors: list[Poly] = []
+    """The product of the factors that open a vterm, or None if there is none."""
+    total = None
     while True:
         tok = ts.peek()
         if tok.kind == "OP" and tok.text == "(":
             ts.advance()
-            factors.append(_parse_poly_sum(ts))
+            factor = _parse_poly_sum(ts)
             ts.expect_op(")")
         elif tok.kind == "INT" or (tok.kind == "NAME" and tok.text == "a"):
-            factors.append(_parse_poly_term(ts))
+            factor = _parse_poly_term(ts)
         else:
-            break
+            return total
+        total = factor if total is None else total * factor
+        if total.degree > MAX_A_DEGREE:
+            raise ParseError(f"degree in a above the limit {MAX_A_DEGREE}", tok.pos)
         ts.accept_op("*")
-    if not factors:
-        return None
-    total = _POLY_ONE
-    for f in factors:
-        total = total * f
-    return total
 
 
 def _parse_vector_slot(ts: _TokenStream, params: ModuleParams) -> tuple[int, int, int]:
@@ -330,7 +319,10 @@ def _parse_vector_slot(ts: _TokenStream, params: ModuleParams) -> tuple[int, int
         ts.error("expected a module-vector atom 'v[k,r]'")
     ts.advance()
     ts.expect_op("[")
+    kpos = ts.peek().pos
     k = _parse_signed_int(ts, "a grade shift")
+    if abs(k) > MAX_T_POWER:
+        raise ParseError(f"grade shift of a slot above the limit {MAX_T_POWER}", kpos)
     ts.expect_op(",")
     rpos = ts.peek().pos
     r = ts.expect_int("a matrix slot")
@@ -347,12 +339,12 @@ def _parse_vector_slot(ts: _TokenStream, params: ModuleParams) -> tuple[int, int
 
 
 def _parse_vector_term(ts: _TokenStream, params: ModuleParams):
-    """One vterm as (slot, coefficient), or None for a zero without a slot."""
+    """One vterm as [(slot, coefficient)], or no pair for a zero without a slot."""
     coeff = _parse_poly_coefficient(ts)
     # A zero coefficient may stand without a slot: the zero vector prints as 0.
     if coeff == 0 and ts.peek().kind != "NAME":
-        return None
-    return _parse_vector_slot(ts, params), _POLY_ONE if coeff is None else coeff
+        return []
+    return [(_parse_vector_slot(ts, params), 1 if coeff is None else coeff)]
 
 
 def parse_module_vector(text: str, params: ModuleParams) -> ModuleVector:
@@ -360,14 +352,11 @@ def parse_module_vector(text: str, params: ModuleParams) -> ModuleVector:
     from .reps import ModuleVector  # the only layer a vector needs beyond algebra
 
     ts = _TokenStream(text)
-    entries: dict[tuple[int, int, int], Poly] = {}
-    zero = Poly(())
+    pairs = []
     for sign, term in _signed_terms(ts, lambda ts: _parse_vector_term(ts, params)):
-        if term is not None:
-            key, coeff = term
-            entries[key] = entries.get(key, zero) + sign * coeff
+        pairs += [(slot, sign * coeff) for slot, coeff in term]
     ts.expect_end()
-    return ModuleVector(params, entries)
+    return ModuleVector(params, pairs)
 
 
 def parse_expression(text: str, rank: int, params: ModuleParams | None = None):
@@ -437,34 +426,30 @@ def format_falling_element(f: FallingElement) -> str:
     return _format_opsum(f, "FD")
 
 
-def _poly_pieces(p: Poly) -> list[tuple[int, str]]:
-    """The signed pieces c a^e of p, highest power first."""
+def _poly_pieces(nums, den: int) -> list[tuple[int, str]]:
+    """The signed pieces c a^e of the polynomial nums/den, highest power first."""
     return [
-        _signed_piece(c.numerator, c.denominator, "" if e == 0 else "a" if e == 1 else f"a^{e}", "")
-        for e, c in reversed(list(enumerate(p.coeffs)))
-        if c
+        _signed_piece(nums[e], den, "" if e == 0 else "a" if e == 1 else f"a^{e}", "")
+        for e in range(len(nums) - 1, -1, -1)
+        if nums[e]
     ]
 
 
 def format_poly(p: Poly) -> str:
-    return _join_signed(_poly_pieces(p))
-
-
-def _poly_coefficient_piece(p: Poly) -> tuple[int, str]:
-    pieces = _poly_pieces(p)
-    if len(pieces) != 1:
-        return (1, f"({_join_signed(pieces)})")
-    sign, text = pieces[0]
-    return (sign, "" if text == "1" else text)  # a unit constant: the slot alone
+    return _join_signed(_poly_pieces(p.nums, p.den))
 
 
 def format_module_vector(v: ModuleVector) -> str:
     pieces: list[tuple[int, str]] = []
     show_jordan = v.params.m > 1
-    for (k, r, s), poly in v.sorted_entries():
+    for (k, r, s), row in sorted(v.nums.items()):
         slot = f"v[{k},{r},{s}]" if show_jordan else f"v[{k},{r}]"
-        sign, coeff_text = _poly_coefficient_piece(poly)
-        pieces.append((sign, f"{coeff_text}*{slot}" if coeff_text else slot))
+        coeff = _poly_pieces(row, v.den)
+        if len(coeff) != 1:
+            pieces.append((1, f"({_join_signed(coeff)})*{slot}"))
+        else:  # one piece: its sign leads, and a unit constant leaves the slot alone
+            sign, text = coeff[0]
+            pieces.append((sign, slot if text == "1" else f"{text}*{slot}"))
     return _join_signed(pieces)
 
 
@@ -492,9 +477,8 @@ def falling_element_to_json(f: FallingElement) -> dict:
 def _param_json(param: Poly):
     if param == Poly.var():
         return "formal"
-    if param.degree <= 0:
-        return str(param.constant_value())
-    return [str(c) for c in param.coeffs]
+    coeffs = [_ratio(n, param.den) for n in param.nums] or ["0"]
+    return coeffs if len(coeffs) > 1 else coeffs[0]
 
 
 def module_vector_to_json(v: ModuleVector) -> dict:
@@ -504,11 +488,11 @@ def module_vector_to_json(v: ModuleVector) -> dict:
         "m": v.params.m,
         "lambda": _param_json(v.params.param),
         "entries": [
-            {"k": k, "r": r, "s": s, "coeff": [str(c) for c in poly.coeffs]}
-            for (k, r, s), poly in v.sorted_entries()
+            {"k": k, "r": r, "s": s, "coeff": [_ratio(n, v.den) for n in row]}
+            for (k, r, s), row in sorted(v.nums.items())
         ],
     }
 
 
 def poly_to_json(p: Poly) -> dict:
-    return {"coeffs": [str(c) for c in p.coeffs]}
+    return {"coeffs": [_ratio(n, p.den) for n in p.nums]}

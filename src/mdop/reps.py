@@ -6,29 +6,29 @@ composing with the sigma automorphism.  Tensoring with a Jordan block of
 size m replaces the scalar module parameter by an indecomposable
 transformation; the central generator acts as zero on every family.
 
-A vector is a finite-support map (k, r, s) -> Poly, where k shifts the
-parameter exponent, r picks the matrix slot, and s the Jordan slot.  It is
-stored as an element is, in the normal form of exact._reduced_rows: a tuple
-of integer numerators per slot, in ascending powers of the parameter, over
-one denominator.  act, pairing and the arithmetic loop on them, act reads
-the element's D-rows as they are, and .entries builds Polys per read.
+A vector is a finite combination of basis slots (k, r, s), where k shifts
+the parameter exponent, r picks the matrix slot, and s the Jordan slot,
+with coefficients polynomial in the parameter.  It is stored as an element
+is, in the normal form of exact._reduced_rows: each slot maps to a tuple of
+integer numerators, in ascending powers of the parameter, over one
+denominator shared by the whole vector.  act, pairing and the arithmetic
+loop on these rows, act reads the element's D-rows as they are, and
+.entries builds one Poly per slot on each read.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from itertools import product, starmap
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import algebra
 from .algebra import AlgebraElement, Monomial, embed_scalar
 from .exact import DimensionError, Poly, _convolve, _jordan_power_cached, _reduced
-from .exact import _reduced_rows, _sum_rows
+from .exact import _reduced_rows, _sum_rows, _summed_rows
 
 _POLY_ZERO = Poly(())
-_POLY_ONE = Poly.const(1)
 _POLY_VAR = Poly.var()
 
 
@@ -99,30 +99,31 @@ class ModuleParams(_Record):
         return ModuleParams(Family.V, self.rank, self.m, -self.param)
 
 
+def _check_slot(params: ModuleParams, r: int, s: int) -> None:
+    if not (1 <= r <= params.rank):
+        raise DimensionError(f"matrix slot {r} out of range for rank {params.rank}")
+    if not (1 <= s <= params.m):
+        raise DimensionError(f"Jordan slot {s} out of range for m = {params.m}")
+
+
 class ModuleVector:
     """Finite-support module vector with Poly coefficients, stored as nums, (k, r, s) ->
     nonempty int tuple without trailing zero, over den > 0 with gcd(den, *all nums) = 1;
-    .entries builds the Polys on each read."""
+    .entries builds the Polys on each read.  entries is a mapping or (slot, coefficient)
+    pairs; repeated slots add up."""
 
     __slots__ = ("params", "nums", "den")
 
-    def __init__(self, params: ModuleParams, entries: Mapping = ()):
-        table: dict[tuple[int, int, int], Poly] = {}
-        for key, coeff in dict(entries).items():
-            k, r, s = key
-            if not (1 <= r <= params.rank):
-                raise DimensionError(f"matrix slot {r} out of range for rank {params.rank}")
-            if not (1 <= s <= params.m):
-                raise DimensionError(f"Jordan slot {s} out of range for m = {params.m}")
+    def __init__(self, params: ModuleParams, entries: Mapping | Iterable = ()):
+        words = []
+        for (k, r, s), coeff in entries.items() if isinstance(entries, Mapping) else entries:
+            _check_slot(params, r, s)
             poly = Poly._coerce(coeff)
             if poly is None:
                 raise TypeError("entries must be exact scalars or Poly")
-            if poly:
-                table[(int(k), r, s)] = poly
-        den = math.lcm(*[c.den for c in table.values()])
+            words += [((int(k), r, s), e, n, poly.den) for e, n in enumerate(poly.nums)]
         self.params = params
-        self.nums = {key: tuple(n * (den // c.den) for n in c.nums) for key, c in table.items()}
-        self.den = den
+        self.nums, self.den = _summed_rows(words)
 
     @classmethod
     def _raw(cls, params: ModuleParams, normal: tuple[dict, int]) -> ModuleVector:
@@ -134,7 +135,8 @@ class ModuleVector:
 
     @staticmethod
     def basis(params: ModuleParams, k: int, r: int, s: int = 1) -> ModuleVector:
-        return ModuleVector(params, {(k, r, s): _POLY_ONE})
+        _check_slot(params, r, s)
+        return ModuleVector._raw(params, ({(int(k), r, s): (1,)}, 1))
 
     @classmethod
     def zero(cls, params: ModuleParams) -> ModuleVector:
@@ -143,9 +145,6 @@ class ModuleVector:
     @property
     def entries(self) -> dict[tuple[int, int, int], Poly]:
         return {key: _reduced(list(row), self.den) for key, row in self.nums.items()}
-
-    def sorted_entries(self) -> list[tuple[tuple[int, int, int], Poly]]:
-        return sorted(self.entries.items())
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -183,7 +182,7 @@ class ModuleVector:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"ModuleVector(params={self.params!r}, entries={self.sorted_entries()!r})"
+        return f"ModuleVector(params={self.params!r}, entries={sorted(self.entries.items())!r})"
 
 
 def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from . import algebra, expr, reps
 from .algebra import AlgebraElement, FallingElement, Monomial
-from .exact import Poly, _reduced_rows, gen_binomial
+from .exact import _reduced_rows, gen_binomial
 from .reps import Family, ModuleParams, ModuleVector
 
 _FAMILIES = (Family.V, Family.VBAR)
@@ -370,19 +370,15 @@ def _pairing_contravariance(cfg, rng, params_w):
 
 @_check("matrix_unit_bracket")
 def _check_matrix_unit_bracket(cfg, rng):
-    # Closed form of [D E[p,q], t E[p',q']], exhaustive over matrix slots.
+    # [D E[p,q], t E[p',q']] = [q = p'] (t + t D) E[p,q'] - [q' = p] t D E[p',q],
+    # exhaustive over matrix slots.
     for n in cfg.ranks:
         for p, q, pp, qq in iter_product(range(1, n + 1), repeat=4):
             a = AlgebraElement.term(n, 0, 1, p, q)
             b = AlgebraElement.term(n, 1, 0, pp, qq)
-            rhs_terms: dict[Monomial, Fraction] = {}
-            if q == pp:
-                for key in (Monomial(1, 0, p, qq), Monomial(1, 1, p, qq)):
-                    rhs_terms[key] = rhs_terms.get(key, Fraction(0)) + 1
-            if qq == p:
-                key = Monomial(1, 1, pp, q)
-                rhs_terms[key] = rhs_terms.get(key, Fraction(0)) - 1
-            bad = algebra.central_bracket(a, b) != AlgebraElement(n, rhs_terms)
+            left, right = int(q == pp), -int(qq == p)
+            words = [((1, 0, p, qq), left), ((1, 1, p, qq), left), ((1, 1, pp, q), right)]
+            bad = algebra.central_bracket(a, b) != AlgebraElement(n, words)
             yield f"n={n}; a = D E[{p},{q}]; b = t E[{pp},{qq}]" if bad else None
 
 
@@ -461,7 +457,7 @@ def _no_hw_lw(cfg, rng, box):
     params, positive, negative = box
     k = rng.randint(-cfg.i_bound, cfg.i_bound)
     r = rng.randint(1, params.rank)
-    v = ModuleVector(params, {(k, r, 1): Poly((_sample_coeff(rng),))})
+    v = ModuleVector(params, [((k, r, 1), _sample_coeff(rng))])
     for sign, gens in (("positive", positive), ("negative", negative)):
         if not any(reps.act(g, v) for g in gens):
             return dict(v=v, note=f"annihilated by the {sign} box")

@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 
+from mdop import exact, reps
 from mdop.algebra import AlgebraElement, Monomial
 from mdop.exact import Poly, jordan_shifted_power
 from mdop.reps import Family, ModuleParams, ModuleVector, act
@@ -146,3 +147,32 @@ def test_jordan_band_matches_the_reference():
                     assert len(band) == min(m, j + 1)
                     for d, w in enumerate(band):
                         assert list(w.coeffs) == _strip(_ref_weight(param, shift, j, d))
+
+
+def _act_by_band(mono, k, s, params):
+    # act of one family-V word t^i D^j E[p,q] on v[k,q,s], read off the public band:
+    # sum_d band[d] v[i+k, p, s-d] with band = jordan_shifted_power(param + k, m, j).
+    i, j, p, _ = mono
+    band = jordan_shifted_power(params.param + k, params.m, j)
+    return ModuleVector(params, [((i + k, p, s - d), w) for d, w in enumerate(band[:s])])
+
+
+def test_a_wrong_band_in_acts_memo_is_caught_by_the_reference(monkeypatch):
+    # jordan_shifted_power does not read _jordan_power_cached, so a band corrupted
+    # there shows up as act disagreeing with the reference.
+    params = ModuleParams(Family.V, 1, 3, Poly.var() + Fraction(1, 2))
+    mono = Monomial(2, 5, 1, 1)
+    x = AlgebraElement(1, {mono: 1})
+    v = ModuleVector.basis(params, -1, 1, 3)
+    expected = _act_by_band(mono, -1, 3, params)
+    assert act(x, v) == expected
+
+    original = reps._jordan_power_cached
+
+    def shifted_band(nums, den, shift, m, j):
+        return original(nums, den, shift + 1, m, j)
+
+    monkeypatch.setattr(reps, "_jordan_power_cached", shifted_band)
+    monkeypatch.setattr(exact, "_jordan_power_cached", shifted_band)
+    assert act(x, v) != expected
+    assert _act_by_band(mono, -1, 3, params) == expected

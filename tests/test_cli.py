@@ -517,6 +517,66 @@ class TestSizeLimits:
         assert (code, out) == (0, f"v[1,1,{top_m}]\n")
 
 
+_DEG, _TOP = expr.MAX_A_DEGREE, expr.MAX_T_POWER
+_DENSE = "*".join(["(a+1)"] * (_DEG + 1))
+# (what is refused, its limit, a vector above the limit, the column of the refusal)
+_VECTOR_LIMIT_CASES = [
+    ("degree in a", _DEG, "a^3000000 v[0,1]", 1),
+    ("degree in a", _DEG, f"a^{_DEG + 1} v[0,1]", 1),
+    ("degree in a", _DEG, "a^99999999999999999999 v[0,1]", 1),
+    ("degree in a", _DEG, f"a^{_DEG} * 2 * a v[0,1]", len(f"a^{_DEG} * ") + 1),
+    ("degree in a", _DEG, f"3 (a^{_DEG} + 1)(a - 1) v[0,1]", len(f"3 (a^{_DEG} + 1)") + 1),
+    ("degree in a", _DEG, f"{_DENSE} v[0,1]", len(_DENSE) - 4),
+    ("degree in a", _DEG, f"(a^{_DEG + 1} - a^{_DEG + 1}) v[0,1]", 2),
+    ("grade shift of a slot", _TOP, f"v[{'9' * 40},1]", 3),
+    ("grade shift of a slot", _TOP, f"v[{_TOP + 1},1]", 3),
+    ("grade shift of a slot", _TOP, f"2 v[0,1] - v[-{_TOP + 1},1]", 14),
+    ("grade shift of a slot", _TOP, f"v[+{'9' * 4000},1]", 3),
+]
+
+
+class TestVectorLimits:
+    """The degree in a of a vector coefficient and the grade shift of a slot are
+    refused at their column before any act or pairing runs.  Unbounded, act of D
+    on a^3000000 v[0,1] ran 16.5 s, and D^1200 on a slot of 40 digits 19.2 s."""
+
+    @pytest.mark.parametrize("command", ["act", "pair"])
+    @pytest.mark.parametrize("what,top,vector,column", _VECTOR_LIMIT_CASES)
+    def test_a_value_above_the_limit_is_refused_at_its_column(
+        self, capsys, monkeypatch, command, what, top, vector, column
+    ):
+        from mdop import reps
+
+        def reached(*args):
+            raise AssertionError("the kernel was reached")
+
+        for name in ("act", "pairing"):
+            monkeypatch.setattr(reps, name, reached)
+        if command == "act":
+            argv = ("act", "--n", "1", "D^1200", vector)
+        else:
+            argv = ("pair", "--n", "1", vector, "v[-3,1]")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} above the limit {top} (column {column})\n"
+
+    def test_the_limits_themselves_are_accepted(self, capsys):
+        dense = "*".join(["(a+1)"] * _DEG)
+        code, out, _ = run_cli(capsys, "act", "--n", "1", "1", f"{dense} v[{_TOP},1]")
+        assert code == 0 and out.endswith(f" + 1)*v[{_TOP},1]\n")
+        assert out.startswith(f"(a^{_DEG} + {_DEG}a^{_DEG - 1} + ")
+        code, out, _ = run_cli(capsys, "act", "--n", "1", "t", f"a^{_DEG} v[-{_TOP},1]")
+        assert (code, out) == (0, f"a^{_DEG}*v[{1 - _TOP},1]\n")
+        code, out, _ = run_cli(capsys, "pair", "--n", "1", f"a^{_DEG} v[3,1]", "a v[-3,1]")
+        assert (code, out) == (0, f"a^{_DEG + 1}\n")
+        # A coefficient whose factors multiply out to zero keeps no degree.
+        zero = f"0 * a^{_DEG} * a^{_DEG} v[0,1]"
+        code, out, _ = run_cli(capsys, "act", "--n", "1", "D", zero)
+        assert (code, out) == (0, "0\n")
+
+
 def _stirling_first_row(j):
     # Coefficients of x(x-1)...(x-j+1), multiplied out factor by factor.
     poly = [1]

@@ -1,10 +1,14 @@
 """High-D calls at the CLI limit: each runs as its own process under a time
-limit, and its output is checked by evaluating the falling factorials."""
+limit, and its output is checked by evaluating the falling factorials.  And
+every limit of mdop.expr is documented in README "Resource limits"."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from mdop import expr
 from test_cli import _falling_power, _run_module, all_digits  # noqa: F401 (a fixture)
 
 J = 1200
@@ -33,3 +37,14 @@ def test_cocycle(all_digits, l):
     expected = -sum(_falling_power(x, J) * _falling_power(x + r, l) for x in range(-r, 0))
     assert int(out) == expected
     assert (expected == 0) == (l > r)
+
+
+def test_every_limit_is_in_the_readme_table():
+    # A new or changed MAX_* constant cannot go undocumented.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Resource limits", 1)[1].split("\n## ", 1)[0]
+    text = " ".join(section.split())
+    limits = {name: value for name, value in vars(expr).items() if name.startswith("MAX_")}
+    assert len(limits) >= 7
+    for name, value in limits.items():
+        assert re.search(rf"`mdop\.expr\.{name}` = {value}(?!\d)", text), name
