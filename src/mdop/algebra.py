@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .exact import (
     CACHE_SIZE,

@@ -150,10 +150,13 @@ class _TokenStream:
 
 
 def _parse_signed_int(ts: _TokenStream, what: str) -> int:
-    sign = -1 if ts.accept_op("-") else 1
-    if sign > 0:
-        ts.accept_op("+")
-    return sign * ts.expect_int(what)
+    negative = False
+    if ts.accept_op("-"):
+        negative = True
+    elif ts.accept_op("+"):
+        pass
+    value = ts.expect_int(what)
+    return -value if negative else value
 
 
 def _parse_coefficient(ts: _TokenStream) -> Fraction | None:
@@ -291,7 +294,10 @@ def _parse_poly_term(ts: _TokenStream) -> Poly:
 
 
 def _parse_poly_sum(ts: _TokenStream) -> Poly:
-    return sum((sign * part for sign, part in _signed_terms(ts, _parse_poly_term)), Poly(()))
+    total = Poly(())
+    for sign, part in _signed_terms(ts, _parse_poly_term):
+        total = total + (part if sign == 1 else -part)
+    return total
 
 
 def _parse_poly_coefficient(ts: _TokenStream) -> Poly | None:

@@ -18,10 +18,10 @@ loop on these rows, act reads the element's D-rows as they are, and
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 from itertools import product, starmap
-from typing import Iterable, Mapping
 
 from . import algebra
 from .algebra import AlgebraElement, Monomial, embed_scalar
