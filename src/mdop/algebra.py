@@ -9,16 +9,16 @@ multiple of the central generator C.  Two bases are supported:
     = t^j (d/dt)^j, in which the defining 2-cocycle of the central
     extension has a closed form on each pair of words.
 
-All operations are pure and exact.  An element is stored as a module
-vector is: one row t^i f(D) E[p,q] per key (i, p, q), the integer
-numerators of f by ascending D power over one denominator, in the normal
-form of exact._reduced_rows.  Products and the cocycle visit only the pairs
-of rows whose matrix slots match; a sparse product adds up word pairs
-(_word_products), a dense one sums each output row as one big integer
-(_dense_products, Kronecker substitution).  The power-basis cocycle
-evaluates each row by Horner's rule at |i| points (the Kac-Radul closed
-form); the falling-basis bracket keeps the per-word weights of _psi_weight,
-read through _words, so the two are independent.
+All operations are pure and exact.  An element is an exact.RowSum, as a
+module vector is: one row t^i f(D) E[p,q] per key (i, p, q), the integer
+numerators of f by ascending D power over one denominator, and C is one
+more row, of the key _C = (0, 0, 0).  Products and the cocycle leave C's
+row out and visit only the pairs of rows whose matrix slots match; a sparse
+product adds up word pairs (_word_products), a dense one sums each output
+row as one big integer (_dense_products, Kronecker substitution).  The
+power-basis cocycle evaluates each row by Horner's rule at |i| points (the
+Kac-Radul closed form); the falling-basis bracket keeps the per-word weights
+of _psi_weight, read through _words, so the two are independent.
 """
 
 from __future__ import annotations
@@ -33,22 +33,23 @@ from typing import NamedTuple
 from .exact import (
     CACHE_SIZE,
     DimensionError,
-    _as_fraction,
+    RowSum,
     _exact,
     _falling_row,
     _power_row,
     _reduced_rows,
-    _sum_rows,
-    _summed_rows,
     gen_binomial,
 )
 
 _ZERO = Fraction(0)
+_C = (0, 0, 0)  # the row key of the central generator C; every word has p, q >= 1
 
 
 def _words(nums: Mapping) -> list:
-    """The nonzero words ((i, j, p, q), n) of the rows nums."""
-    return [((i, j, p, q), n) for (i, p, q), row in nums.items() for j, n in enumerate(row) if n]
+    """The nonzero words ((i, j, p, q), n) of the rows nums; C's row is no word."""
+    return [
+        ((i, j, p, q), n) for (i, p, q), row in nums.items() if p for j, n in enumerate(row) if n
+    ]
 
 
 class Monomial(NamedTuple):
@@ -65,49 +66,42 @@ def degree(mono: Monomial, rank: int) -> int:
     return mono.i * rank + mono.p - mono.q
 
 
-class _OperatorSum:
-    """Finite combination of basis words plus a central coefficient.
+class _OperatorSum(RowSum):
+    """Finite combination of basis words plus a multiple of the central generator C.
 
     Shared implementation of the power-basis and falling-basis element
     types; the two are distinct classes so they never mix silently.
     Coefficients must be exact (int or Fraction); others raise TypeError.
     terms is a mapping or (word, coefficient) pairs; repeated words add up.
-    They are stored as a module vector's are: nums, (i, p, q) -> nonempty int
-    tuple by D power without trailing zero, over den > 0 with gcd(den, *all
-    nums) = 1; .terms builds Monomial -> Fraction on each read.
+    They are stored as a module vector's are (exact.RowSum): nums, (i, p, q)
+    -> int tuple by D power, over den; C is one more row, the constant row of
+    the key _C, which no word has.  .terms and .central read the rows.
     """
 
-    __slots__ = ("rank", "nums", "den", "central")
+    __slots__ = ()
+    rank = RowSum.ctx
 
-    def __init__(self, rank: int, terms: Mapping | Iterable = (), central=_ZERO):
+    def __init__(self, rank: int, terms: Mapping | Iterable = (), central=0):
         if not isinstance(rank, int) or rank < 1:
             raise DimensionError("rank must be a positive integer")
-        words = []
-        for mono, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
-            if not isinstance(mono, Monomial):
-                mono = Monomial(*mono)
-            if mono.j < 0:
-                raise ValueError(f"negative D power in {mono}")
-            if not (1 <= mono.p <= rank and 1 <= mono.q <= rank):
-                raise DimensionError(f"matrix indices of {mono} out of range for rank {rank}")
-            c = _exact(coeff)
-            words.append(((mono.i, mono.p, mono.q), mono.j, c.numerator, c.denominator))
-        self.rank = rank
-        self.nums, self.den = _summed_rows(words)
-        self.central = _as_fraction(central)
+        c = _exact(central)
+        super().__init__(rank, terms, [(_C, 0, c.numerator, c.denominator)] if c else ())
 
-    @classmethod
-    def _raw(cls, rank: int, normal: tuple[dict, int], central: Fraction):
-        # Internal fast path: normal is (nums, den) as _reduced_rows returns it.
-        el = object.__new__(cls)
-        el.rank = rank
-        el.nums, el.den = normal
-        el.central = central if isinstance(central, Fraction) else Fraction(central)
-        return el
+    @staticmethod
+    def _word(rank: int, mono) -> tuple:
+        if not isinstance(mono, Monomial):
+            mono = Monomial(*mono)
+        if mono.j < 0:
+            raise ValueError(f"negative D power in {mono}")
+        if not (1 <= mono.p <= rank and 1 <= mono.q <= rank):
+            raise DimensionError(f"matrix indices of {mono} out of range for rank {rank}")
+        return (mono.i, mono.p, mono.q), mono.j
 
-    @classmethod
-    def zero(cls, rank: int):
-        return cls._raw(rank, ({}, 1), _ZERO)
+    @staticmethod
+    def _scalar(value):
+        if isinstance(value, (int, Fraction)):
+            return (value.numerator,), value.denominator
+        return None
 
     @classmethod
     def term(cls, rank: int, i: int, j: int, p: int, q: int, coeff=1):
@@ -122,48 +116,10 @@ class _OperatorSum:
         new, den = tuple.__new__, self.den
         return {new(Monomial, key): Fraction(n, den) for key, n in _words(self.nums)}
 
-    def __bool__(self) -> bool:
-        return bool(self.nums) or bool(self.central)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.central == other.central
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def _combine(self, other, sign: int):
-        # self + sign * other
-        if type(other) is not type(self):
-            return NotImplemented
-        if other.rank != self.rank:
-            raise DimensionError("operand ranks differ")
-        normal = _sum_rows(self.nums, self.den, other.nums, other.den, sign)
-        return type(self)._raw(self.rank, normal, self.central + sign * other.central)
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        factor = Fraction(scalar)
-        top = factor.numerator  # a nonzero top keeps every row free of trailing zeros
-        rows = {key: tuple(map(top.__mul__, row)) for key, row in self.nums.items()} if top else {}
-        return type(self)._raw(
-            self.rank, _reduced_rows(rows, self.den * factor.denominator), self.central * factor
-        )
-
-    __rmul__ = __mul__
+    @property
+    def central(self) -> Fraction:
+        row = self.nums.get(_C)
+        return Fraction(row[0], self.den) if row else _ZERO
 
     def __repr__(self) -> str:
         return (
@@ -180,11 +136,13 @@ class FallingElement(_OperatorSum):
     """Combination of falling-basis words t^i [D]_j E[p,q] plus central C."""
 
 
-def _check_pair(a, b, cls) -> None:
+def _operands(a, b, cls) -> list:
+    """The rows of a and b without C's, once both are cls of one rank."""
     if not isinstance(a, cls) or not isinstance(b, cls):
         raise TypeError(f"expected {cls.__name__} operands")
     if a.rank != b.rank:
         raise DimensionError("operand ranks differ")
+    return [{k: r for k, r in n.items() if k != _C} if _C in n else n for n in (a.nums, b.nums)]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -238,14 +196,14 @@ def _add_products(rows: dict, na: Mapping, nb: Mapping, sign: int, falling: bool
                         out[u + l] += c * w
 
 
-def _word_products(na: Mapping, nb: Mapping, den: int, bracket: bool, falling: bool = False):
-    # Normal form of ab, or of ab - ba if bracket, summed word pair by word pair.
+def _word_products(na: Mapping, nb: Mapping, bracket: bool, falling: bool = False) -> dict:
+    # Rows of ab, or of ab - ba if bracket, summed word pair by word pair, not reduced.
     width = max(map(len, na.values()), default=1) + max(map(len, nb.values()), default=1) - 1
     rows: defaultdict = defaultdict(lambda: [0] * width)
     _add_products(rows, na, nb, 1, falling)
     if bracket:
         _add_products(rows, nb, na, -1, falling)
-    return _reduced_rows(rows, den)
+    return rows
 
 
 def _dense_route(na: Mapping, nb: Mapping) -> bool:
@@ -281,8 +239,8 @@ def _add_kronecker(values: dict, na: Mapping, nb: Mapping, sign: int, x: int) ->
                 values[i + k, p, q2] = values.get((i + k, p, q2), 0) + fx * gx
 
 
-def _dense_products(na: Mapping, nb: Mapping, den: int, bracket: bool) -> tuple[dict, int]:
-    # Normal form of ab, or ab - ba if bracket, on rows: row H is read off H(2^bits).
+def _dense_products(na: Mapping, nb: Mapping, bracket: bool) -> dict:
+    # Rows of ab, or ab - ba if bracket, not reduced: row H is read off H(2^bits).
     bound = _kronecker_bound(na, nb) + (_kronecker_bound(nb, na) if bracket else 0)
     bits = bound.bit_length() + 1
     values: dict = {}
@@ -299,15 +257,16 @@ def _dense_products(na: Mapping, nb: Mapping, den: int, bracket: bool) -> tuple[
                 d -= mask + 1
             row.append(d)
             n = (n - d) >> bits
-    return _reduced_rows(rows, den)
+    return rows
 
 
-def _products(a: AlgebraElement, b: AlgebraElement, bracket: bool) -> AlgebraElement:
-    _check_pair(a, b, AlgebraElement)
-    na, nb, den = a.nums, b.nums, a.den * b.den
-    if _dense_route(na, nb):
-        return AlgebraElement._raw(a.rank, _dense_products(na, nb, den, bracket), _ZERO)
-    return AlgebraElement._raw(a.rank, _word_products(na, nb, den, bracket), _ZERO)
+def _products(a: AlgebraElement, b: AlgebraElement, bracket: bool, psi=None) -> AlgebraElement:
+    # ab, or ab - ba, plus psi C if psi is given; the C rows of a and b take no part.
+    (na, nb), den = _operands(a, b, AlgebraElement), a.den * b.den
+    rows = (_dense_products if _dense_route(na, nb) else _word_products)(na, nb, bracket)
+    if psi is not None:
+        rows[_C] = [psi.numerator * (den // psi.denominator)]
+    return AlgebraElement._raw(a.rank, _reduced_rows(rows, den))
 
 
 def canonical_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -344,14 +303,14 @@ def to_falling(a: AlgebraElement) -> FallingElement:
     """Rewrite D^j in terms of [D]_s; the central part passes through."""
     if not isinstance(a, AlgebraElement):
         raise TypeError("expected an AlgebraElement")
-    return FallingElement._raw(a.rank, (_change_basis(a.nums, _falling_row), a.den), a.central)
+    return FallingElement._raw(a.rank, (_change_basis(a.nums, _falling_row), a.den))
 
 
 def from_falling(f: FallingElement) -> AlgebraElement:
     """Rewrite [D]_j in terms of D^s; inverse of to_falling."""
     if not isinstance(f, FallingElement):
         raise TypeError("expected a FallingElement")
-    return AlgebraElement._raw(f.rank, (_change_basis(f.nums, _power_row), f.den), f.central)
+    return AlgebraElement._raw(f.rank, (_change_basis(f.nums, _power_row), f.den))
 
 
 def _psi_parity(j: int) -> int:
@@ -420,9 +379,8 @@ def cocycle_psi(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     (i, p, q) of a meets only the row (-i, q, p) of b; central parts of
     the inputs contribute nothing.
     """
-    _check_pair(a, b, AlgebraElement)
-    nb, total = b.nums, 0
-    for (i, p, q), f in a.nums.items():
+    (na, nb), total = _operands(a, b, AlgebraElement), 0
+    for (i, p, q), f in na.items():
         g = nb.get((-i, q, p))
         if g is None or not i:
             continue
@@ -432,8 +390,7 @@ def cocycle_psi(a: AlgebraElement, b: AlgebraElement) -> Fraction:
 
 def central_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bracket of the central extension: plain bracket plus psi(a, b) C."""
-    out = plain_bracket(a, b)
-    return AlgebraElement._raw(a.rank, (out.nums, out.den), cocycle_psi(a, b))
+    return _products(a, b, True, cocycle_psi(a, b))
 
 
 def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingElement:
@@ -448,23 +405,20 @@ def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingEleme
     where [n]_s is the integer falling power.  Must agree with converting
     to the power basis, applying central_bracket, and converting back.
     """
-    _check_pair(a, b, FallingElement)
-    na, nb, den = a.nums, b.nums, a.den * b.den
-    central = Fraction(_psi_total(_words(na), _words(nb)), den)
-    return FallingElement._raw(a.rank, _word_products(na, nb, den, True, True), central)
+    na, nb = _operands(a, b, FallingElement)
+    rows = _word_products(na, nb, True, True)
+    rows[_C] = [_psi_total(_words(na), _words(nb))]
+    return FallingElement._raw(a.rank, _reduced_rows(rows, a.den * b.den))
 
 
 def homogeneous_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
     """Split an element by principal grade; the zero element gives {}."""
     buckets: dict[int, dict] = {}
-    for (i, p, q), row in a.nums.items():  # every word of a row has one grade
+    for (i, p, q), row in a.nums.items():  # every word of a row has one grade, C's 0
         grade = degree(Monomial(i, len(row) - 1, p, q), a.rank)
         buckets.setdefault(grade, {})[i, p, q] = row
-    if a.central:
-        buckets.setdefault(0, {})
-    central = {0: a.central}
     return {
-        d: AlgebraElement._raw(a.rank, _reduced_rows(rows, a.den), central.get(d, _ZERO))
+        d: AlgebraElement._raw(a.rank, _reduced_rows(rows, a.den))
         for d, rows in sorted(buckets.items())
     }
 
@@ -483,7 +437,7 @@ def sigma(a: AlgebraElement) -> AlgebraElement:
     """
     if not isinstance(a, AlgebraElement):
         raise TypeError("expected an AlgebraElement")
-    if a.central:
+    if _C in a.nums:
         raise ValueError("sigma is defined on central-free elements only")
     out: dict = {}
     for (i, p, q), row in a.nums.items():  # row (i, p, q) goes to row (i, q, p) alone
@@ -493,7 +447,7 @@ def sigma(a: AlgebraElement) -> AlgebraElement:
                 c *= _sigma_sign(j)
                 for u, w in _product_expansion(j, i):
                     acc[u] += c * w
-    return AlgebraElement._raw(a.rank, _reduced_rows(out, a.den), _ZERO)
+    return AlgebraElement._raw(a.rank, _reduced_rows(out, a.den))
 
 
 def embed_scalar(i: int, j: int, rank: int) -> AlgebraElement:

@@ -1,22 +1,24 @@
-"""Exact arithmetic primitives: rationals, univariate polynomials, basis
-changes of integer D-rows, and the banded powers of a Jordan block.
+"""Exact arithmetic primitives: rationals, univariate polynomials, the row
+store RowSum, basis changes of integer D-rows, and banded Jordan powers.
 
 Every scalar is an arbitrary-precision rational (fractions.Fraction) at
 the API.  Polynomials are dense in a single formal indeterminate, which
 stands in for the free module parameter; an identity verified with the
 formal parameter therefore holds for every specialization at once.
-Inside, a polynomial is integer numerators over one denominator, and a
-basis change maps a row of integers, so inner loops run on int arithmetic.
+Inside, a polynomial is integer numerators over one denominator, algebra
+elements (C as one more row) and module vectors are rows of them over one
+denominator (RowSum), and a basis change maps a row of integers, so inner
+loops run on int arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import starmap, zip_longest
 from operator import add
-from typing import Iterable, Mapping
 
 # The base scalar type.  Fraction already maintains the canonical form we
 # need: reduced, positive denominator, zero stored as 0/1.
@@ -37,10 +39,6 @@ def _exact(value):
     if isinstance(value, (int, Fraction)):
         return value
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
-
-
-def _as_fraction(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(_exact(value))
 
 
 def gen_binomial(top: int, s: int) -> int:
@@ -187,6 +185,80 @@ def _summed_rows(words: list) -> tuple[dict, int]:
     return _reduced_rows(rows, den)
 
 
+class RowSum:
+    """A finite sum stored as rows in a context ctx: nums maps each row key to a
+    nonempty tuple of integer numerators by ascending power, with no trailing
+    zero, over one den > 0 with gcd(den, *all nums) = 1, so equal sums are
+    equal structurally.  Algebra elements and module vectors are RowSums.  A
+    subclass reads input terms by _word(ctx, key), which gives (row key,
+    power), and _scalar(coefficient), which gives (numerators, den) from that
+    power up, or None to refuse the coefficient; + and - take equal contexts.
+    """
+
+    __slots__ = ("ctx", "nums", "den")
+
+    def __init__(self, ctx, terms: Mapping | Iterable = (), words: Iterable = ()):
+        # The sum of terms, (key, coefficient) pairs, and of words (row key, power, numerator,
+        # den) read already, as an element's C; repeated keys add up.
+        words = list(words)
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
+            key, e = self._word(ctx, key)
+            scalar = self._scalar(coeff)
+            if scalar is None:
+                raise TypeError(f"expected an exact coefficient, got {type(coeff).__name__}")
+            nums, den = scalar
+            words += [(key, s, n, den) for s, n in enumerate(nums, e)]
+        self.ctx = ctx
+        self.nums, self.den = _summed_rows(words)
+
+    @classmethod
+    def _raw(cls, ctx, normal: tuple[dict, int]):
+        # Internal fast path: normal is (nums, den) as _reduced_rows returns it.
+        out = object.__new__(cls)
+        out.ctx = ctx
+        out.nums, out.den = normal
+        return out
+
+    @classmethod
+    def zero(cls, ctx):
+        return cls._raw(ctx, ({}, 1))
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ctx == other.ctx and self.den == other.den and self.nums == other.nums
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        # self + sign * other
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.ctx != self.ctx:
+            raise DimensionError("operands differ in rank or module parameters")
+        return self._raw(self.ctx, _sum_rows(self.nums, self.den, other.nums, other.den, sign))
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, scalar):
+        scalar = self._scalar(scalar)
+        if scalar is None:
+            return NotImplemented
+        nums, den = scalar
+        rows = {key: _convolve(row, nums) for key, row in self.nums.items()}
+        return self._raw(self.ctx, _reduced_rows(rows, self.den * den))
+
+    __rmul__ = __mul__
+
+
 class Poly:
     """Univariate polynomial over the rationals.
 
@@ -236,7 +308,7 @@ class Poly:
 
     def __call__(self, value) -> Fraction:
         """Evaluate at an exact point (Horner on numerators)."""
-        point = _as_fraction(value)
+        point = _exact(value)
         top, bottom = point.numerator, point.denominator
         acc, scale = 0, 1
         for c in reversed(self.nums):

@@ -8,11 +8,11 @@ transformation; the central generator acts as zero on every family.
 
 A vector is a finite combination of basis slots (k, r, s), where k shifts
 the parameter exponent, r picks the matrix slot, and s the Jordan slot,
-with coefficients polynomial in the parameter.  It is stored as an element
-is, in the normal form of exact._reduced_rows: each slot maps to a tuple of
-integer numerators, in ascending powers of the parameter, over one
-denominator shared by the whole vector.  act, pairing and the arithmetic
-loop on these rows, act reads the element's D-rows as they are, and
+with coefficients polynomial in the parameter.  It is an exact.RowSum, as
+an element is: each slot maps to a tuple of integer numerators, in
+ascending powers of the parameter, over one denominator shared by the whole
+vector.  act and pairing loop on these rows, act reads the element's D-rows
+as they are (C's row, of matrix slot 0, meets no slot of a vector), and
 .entries builds one Poly per slot on each read.
 """
 
@@ -25,8 +25,7 @@ from itertools import product, starmap
 
 from . import algebra
 from .algebra import AlgebraElement, Monomial, embed_scalar
-from .exact import DimensionError, Poly, _convolve, _jordan_power_cached, _reduced
-from .exact import _reduced_rows, _sum_rows, _summed_rows
+from .exact import DimensionError, Poly, RowSum, _jordan_power_cached, _reduced, _reduced_rows
 
 _POLY_ZERO = Poly(())
 _POLY_VAR = Poly.var()
@@ -80,7 +79,10 @@ class ModuleParams(_Record):
     _fields = ("family", "rank", "m", "param")
 
     def __init__(self, family: Family, rank: int, m: int = 1, param: Poly = _POLY_VAR):
-        self._freeze(family, rank, m, param)
+        poly = Poly._coerce(param)
+        if poly is None:
+            raise TypeError("the module parameter must be an exact scalar or Poly")
+        self._freeze(family, rank, m, poly)
         if not isinstance(rank, int) or rank < 1:
             raise DimensionError("rank must be a positive integer")
         if not isinstance(m, int) or m < 1:
@@ -106,80 +108,37 @@ def _check_slot(params: ModuleParams, r: int, s: int) -> None:
         raise DimensionError(f"Jordan slot {s} out of range for m = {params.m}")
 
 
-class ModuleVector:
-    """Finite-support module vector with Poly coefficients, stored as nums, (k, r, s) ->
-    nonempty int tuple without trailing zero, over den > 0 with gcd(den, *all nums) = 1;
+class ModuleVector(RowSum):
+    """Finite-support module vector with Poly coefficients, stored as an element is
+    (exact.RowSum): nums, (k, r, s) -> int tuple by power of the parameter, over den;
     .entries builds the Polys on each read.  entries is a mapping or (slot, coefficient)
     pairs; repeated slots add up."""
 
-    __slots__ = ("params", "nums", "den")
+    __slots__ = ()
+    params = RowSum.ctx
 
     def __init__(self, params: ModuleParams, entries: Mapping | Iterable = ()):
-        words = []
-        for (k, r, s), coeff in entries.items() if isinstance(entries, Mapping) else entries:
-            _check_slot(params, r, s)
-            poly = Poly._coerce(coeff)
-            if poly is None:
-                raise TypeError("entries must be exact scalars or Poly")
-            words += [((int(k), r, s), e, n, poly.den) for e, n in enumerate(poly.nums)]
-        self.params = params
-        self.nums, self.den = _summed_rows(words)
+        super().__init__(params, entries)
 
-    @classmethod
-    def _raw(cls, params: ModuleParams, normal: tuple[dict, int]) -> ModuleVector:
-        # Internal fast path: normal is (nums, den) as _reduced_rows returns it.
-        v = object.__new__(cls)
-        v.params = params
-        v.nums, v.den = normal
-        return v
+    @staticmethod
+    def _word(params: ModuleParams, slot) -> tuple:
+        k, r, s = slot
+        _check_slot(params, r, s)
+        return (int(k), r, s), 0
+
+    @staticmethod
+    def _scalar(value):
+        poly = Poly._coerce(value)
+        return None if poly is None else (poly.nums, poly.den)
 
     @staticmethod
     def basis(params: ModuleParams, k: int, r: int, s: int = 1) -> ModuleVector:
         _check_slot(params, r, s)
         return ModuleVector._raw(params, ({(int(k), r, s): (1,)}, 1))
 
-    @classmethod
-    def zero(cls, params: ModuleParams) -> ModuleVector:
-        return cls._raw(params, ({}, 1))
-
     @property
     def entries(self) -> dict[tuple[int, int, int], Poly]:
         return {key: _reduced(list(row), self.den) for key, row in self.nums.items()}
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.params == other.params and self.den == other.den and self.nums == other.nums
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def _combine(self, other, sign: int):
-        # self + sign * other
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        if self.params != other.params:
-            raise DimensionError("module parameters differ")
-        normal = _sum_rows(self.nums, self.den, other.nums, other.den, sign)
-        return ModuleVector._raw(self.params, normal)
-
-    def __neg__(self) -> ModuleVector:
-        return self * -1
-
-    def __mul__(self, scalar):
-        poly = Poly._coerce(scalar)
-        if poly is None:
-            return NotImplemented
-        out = {key: _convolve(row, poly.nums) for key, row in self.nums.items()}
-        return ModuleVector._raw(self.params, _reduced_rows(out, self.den * poly.den))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"ModuleVector(params={self.params!r}, entries={sorted(self.entries.items())!r})"

@@ -17,7 +17,7 @@ from itertools import product as iter_product
 from typing import Callable, Iterator
 
 from . import algebra, expr, reps
-from .algebra import AlgebraElement, FallingElement, Monomial
+from .algebra import _C, AlgebraElement, FallingElement, Monomial
 from .exact import _reduced_rows, gen_binomial
 from .reps import Family, ModuleParams, ModuleVector
 
@@ -162,8 +162,8 @@ def sample_element(
     for _ in range(_below(bits, 3) + 1):
         i, j, p, q = _sample_word(bits, rank, i_bound, j_bound)
         rows.setdefault((i, p, q), [0] * (j_bound + 1))[j] += _sample_num(bits)
-    central = _sample_coeff(rng) if allow_central and rng.random() < 0.3 else 0
-    return cls._raw(rank, _reduced_rows(rows, 6), central)
+    rows[_C] = [_sample_num(bits) if allow_central and rng.random() < 0.3 else 0]
+    return cls._raw(rank, _reduced_rows(rows, 6))
 
 
 def sample_falling_element(

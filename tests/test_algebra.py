@@ -351,6 +351,14 @@ class TestElementBasics:
             AlgebraElement(1, {Monomial(0, -1, 1, 1): 1})
         with pytest.raises(DimensionError):
             AlgebraElement(1, {Monomial(0, 0, 1, 2): 1})
+        # C is stored as the row of the key (0, 0, 0), but a word with p = q = 0 is no C.
+        for word in (Monomial(0, 0, 0, 0), (0, 0, 0, 0)):
+            with pytest.raises(DimensionError):
+                FallingElement(2, {word: 1})
+
+    def test_no_terms_is_zero(self):
+        assert AlgebraElement(2, None) == AlgebraElement(2) == AlgebraElement.zero(2)
+        assert AlgebraElement(2, None, 3) == AlgebraElement.central_term(2, 3)
 
     @pytest.mark.parametrize("cls", (AlgebraElement, FallingElement))
     @pytest.mark.parametrize("bad", (0.1, 0.5, "1/3"))

@@ -28,7 +28,7 @@ from mdop.algebra import (
     sigma,
     to_falling,
 )
-from mdop.exact import falling_to_power_coeffs, power_to_falling_coeffs
+from mdop.exact import _reduced_rows, falling_to_power_coeffs, power_to_falling_coeffs
 
 
 def _binom(top, s):
@@ -297,8 +297,8 @@ def test_the_two_cocycle_routes_share_no_weight(monkeypatch):
 
 
 def _dense(a, b, bracket=False):
-    normal = algebra_module._dense_products(a.nums, b.nums, a.den * b.den, bracket)
-    return AlgebraElement._raw(a.rank, normal, Fraction(0))
+    rows = algebra_module._dense_products(a.nums, b.nums, bracket)
+    return AlgebraElement._raw(a.rank, _reduced_rows(rows, a.den * b.den))
 
 
 def _dense_element(rng, rank, words, i_values, slots=None, big=False):
@@ -384,6 +384,33 @@ def test_public_ops_take_the_dense_route_past_the_thresholds(monkeypatch):
         _assert_stored_form(plain_bracket(a, b), ref_bracket(a, b), 0)
         _assert_stored_form(central_bracket(a, b), ref_bracket(a, b), ref_psi(a, b))
     assert len(calls) == 9
+
+
+def test_central_parts_change_neither_the_dense_route_nor_the_products(monkeypatch):
+    # C's row is left out before the route is chosen: the same operands with
+    # and without central parts take the dense route alike, C never reaches
+    # it, and only central_bracket writes a central part.  The last pair has
+    # exactly DENSE_WORDS_PER_ROW words a row, so a row more would tip it.
+    rng = random.Random(13)
+    words = [Monomial(i, j, 1, 1) for i in range(-4, 4) for j in (0, 1)]
+    threshold = [AlgebraElement(1, {m: _coeff(rng) for m in words}) for _ in range(2)]
+    calls = []
+    dense = algebra_module._dense_products
+    monkeypatch.setattr(
+        algebra_module, "_dense_products", lambda *args: calls.append(args) or dense(*args)
+    )
+    for a, b in [*_dense_pairs(rng), threshold]:
+        ca = a + AlgebraElement.central_term(a.rank, Fraction(5, 7))
+        cb = b + AlgebraElement.central_term(b.rank, -3)
+        for op in (canonical_product, plain_bracket):
+            plain = op(a, b)
+            assert op(ca, cb) == op(ca, b) == op(a, cb) == plain and not plain.central
+        bracket = central_bracket(ca, cb)
+        assert bracket.central == cocycle_psi(ca, cb) == cocycle_psi(a, b) == ref_psi(a, b)
+        assert bracket == central_bracket(a, b)
+        _assert_stored_form(bracket, ref_bracket(a, b), ref_psi(a, b))
+    assert len(calls) == 4 * (4 + 4 + 2)
+    assert all(algebra_module._C not in rows for call in calls for rows in call[:2])
 
 
 def test_small_and_sparse_operands_keep_the_word_route(monkeypatch):

@@ -7,10 +7,14 @@ captured: every subcommand in text and JSON, 10-30-term operands with
 tests/golden/verify_default.json holds the default `verify --format json`
 report with the timing fields removed.  tests/golden/cli_help.json holds
 the --help text of the top-level parser and of every subcommand at
-COLUMNS=80.  Any change to these bytes is a change of the output format
-and must be deliberate; such a change is recorded by writing run(argv) of
-each case, default_verify_report() and help_text(command) back into the
-files.
+COLUMNS=80.  tests/golden/mutation_reports.json holds the timing-free
+report of run_suite(CFG) of tests/test_mutations.py, unmutated and under
+each of its MUTATIONS, keyed by mutation name; test_mutations.py compares
+each run it makes against it.  Any change to these bytes is a change of
+the output format and must be deliberate; such a change is recorded by
+writing run(argv) of each case, default_verify_report() and
+help_text(command) back into the files, and json.dumps(mutation_reports(),
+indent=1) of test_mutations.py, plus a newline, into mutation_reports.json.
 """
 
 import contextlib

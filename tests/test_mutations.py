@@ -4,8 +4,13 @@ Each named check must fail under at least one documented single-site
 corruption of the kernel.  Mutations are applied by monkeypatching
 module-level helpers; the suite reaches the kernel through module
 attributes, so the patches take effect without test-only hooks in the
-shipped code.
+shipped code.  The timing-free report of each run, unmutated and under
+each mutation, must match tests/golden/mutation_reports.json (see
+tests/test_golden.py on recording it).
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,8 @@ from mdop.reps import ModuleVector
 from mdop.verify import SuiteConfig, available_checks, run_suite
 
 CFG = SuiteConfig(ranks=(1, 2), samples=40, seed=11, m_values=(1, 2))
+REPORTS = Path(__file__).resolve().parent / "golden" / "mutation_reports.json"
+_GOLDEN = json.loads(REPORTS.read_text())
 
 _ORIG_PSI = algebra.cocycle_psi
 _ORIG_ADD_PRODUCTS = algebra._add_products
@@ -181,6 +188,7 @@ def test_mutation_is_detected(monkeypatch, name, module, attr, replacement, expe
     for row in report.results:
         if not row.passed:
             assert row.counterexample
+    assert timing_free(report) == _GOLDEN[name]
 
 
 def test_every_check_is_covered_by_some_mutation():
@@ -191,4 +199,22 @@ def test_every_check_is_covered_by_some_mutation():
 
 
 def test_unmutated_suite_passes():
-    assert run_suite(CFG).passed
+    report = run_suite(CFG)
+    assert report.passed
+    assert timing_free(report) == _GOLDEN["unmutated"]
+
+
+def timing_free(report) -> dict:
+    """The report as JSON without timing, in the form the golden file holds."""
+    return json.loads(json.dumps(report.to_json(include_timing=False)))
+
+
+def mutation_reports() -> dict:
+    """timing_free(run_suite(CFG)) unmutated and under each mutation, by name."""
+    reports = {"unmutated": timing_free(run_suite(CFG))}
+    for name, module, attr, replacement, _ in MUTATIONS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, attr, replacement)
+            reports[name] = timing_free(run_suite(CFG))
+    return reports
+

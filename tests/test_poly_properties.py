@@ -168,13 +168,14 @@ term_maps = st.dictionaries(words, st.one_of(rationals, st.integers(-3, 3)), max
 
 def assert_element_normal(e):
     assert_rows_normal(e.nums, e.den)
-    for i, p, q in e.nums:
-        assert 1 <= p <= e.rank and 1 <= q <= e.rank
+    for i, p, q in e.nums:  # every key but C's (0, 0, 0) is a word's
+        assert (i, p, q) == algebra._C or 1 <= p <= e.rank and 1 <= q <= e.rank
     terms = e.terms
     assert all(type(m) is algebra.Monomial for m in terms)
     assert terms == {
         algebra.Monomial(i, j, p, q): Fraction(n, e.den)
         for (i, p, q), row in e.nums.items()
+        if p
         for j, n in enumerate(row)
         if n
     }

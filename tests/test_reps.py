@@ -277,6 +277,18 @@ class TestModuleParams:
         with pytest.raises(error):
             ModuleParams(Family.V, rank, m)
 
+    def test_an_exact_scalar_parameter_is_read_as_a_constant(self):
+        params = ModuleParams(Family.V, 1, 1, 3)
+        assert params == ModuleParams.specialized(Family.V, 1, 1, 3)
+        assert type(params.param) is Poly and params.param == Poly.const(3)
+        v = ModuleVector.basis(params, 2, 1)
+        assert act(AlgebraElement.term(1, 1, 1, 1, 1), v) == 5 * ModuleVector.basis(params, 3, 1)
+
+    @pytest.mark.parametrize("param", [1.5, "a"])
+    def test_an_inexact_parameter_is_refused(self, param):
+        with pytest.raises(TypeError):
+            ModuleParams(Family.V, 1, 1, param)
+
     def test_weight_record_is_a_value(self):
         a, b = weight_of(formal(Family.V, 2), 3, 2), weight_of(formal(Family.V, 2), 3, 2)
         assert a == b and hash(a) == hash(b)

@@ -154,3 +154,16 @@ def test_entries_is_a_view():
     assert view is not v.entries
     view.clear()
     assert v.entries and v.nums
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3"])
+def test_inexact_entries_refused(bad):
+    with pytest.raises(TypeError):
+        ModuleVector(ModuleParams.formal(Family.V, 1), {(0, 1, 1): bad})
+
+
+def test_basis_is_the_vector_the_constructor_builds():
+    params = ModuleParams.formal(Family.VBAR, 2, 2)
+    v = ModuleVector.basis(params, -3, 2, 2)
+    assert v == ModuleVector(params, {(-3, 2, 2): 1})
+    assert_normal(v)
