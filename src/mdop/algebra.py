@@ -34,9 +34,9 @@ from .exact import (
     CACHE_SIZE,
     DimensionError,
     RowSum,
-    _exact,
     _falling_row,
     _power_row,
+    _rational,
     _reduced_rows,
     gen_binomial,
 )
@@ -84,8 +84,11 @@ class _OperatorSum(RowSum):
     def __init__(self, rank: int, terms: Mapping | Iterable = (), central=0):
         if not isinstance(rank, int) or rank < 1:
             raise DimensionError("rank must be a positive integer")
-        c = _exact(central)
-        super().__init__(rank, terms, [(_C, 0, c.numerator, c.denominator)] if c else ())
+        c = _rational(central)
+        if c is None:
+            raise TypeError(f"expected an exact scalar, got {type(central).__name__}")
+        nums, den = c
+        super().__init__(rank, terms, [(_C, 0, nums[0], den)] if nums else ())
 
     @staticmethod
     def _word(rank: int, mono) -> tuple:
@@ -97,11 +100,7 @@ class _OperatorSum(RowSum):
             raise DimensionError(f"matrix indices of {mono} out of range for rank {rank}")
         return (mono.i, mono.p, mono.q), mono.j
 
-    @staticmethod
-    def _scalar(value):
-        if isinstance(value, (int, Fraction)):
-            return (value.numerator,), value.denominator
-        return None
+    _scalar = staticmethod(_rational)
 
     @classmethod
     def term(cls, rank: int, i: int, j: int, p: int, q: int, coeff=1):
@@ -136,13 +135,19 @@ class FallingElement(_OperatorSum):
     """Combination of falling-basis words t^i [D]_j E[p,q] plus central C."""
 
 
-def _operands(a, b, cls) -> list:
-    """The rows of a and b without C's, once both are cls of one rank."""
+def _check_operands(a, b, cls) -> None:
     if not isinstance(a, cls) or not isinstance(b, cls):
         raise TypeError(f"expected {cls.__name__} operands")
     if a.rank != b.rank:
         raise DimensionError("operand ranks differ")
-    return [{k: r for k, r in n.items() if k != _C} if _C in n else n for n in (a.nums, b.nums)]
+
+
+def _operands(a, b, cls):
+    """The rows of a and b without C's, once both are cls of one rank."""
+    _check_operands(a, b, cls)
+    if _C in a.nums or _C in b.nums:
+        return [{k: r for k, r in n.items() if k != _C} if _C in n else n for n in (a.nums, b.nums)]
+    return a.nums, b.nums
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -377,10 +382,11 @@ def cocycle_psi(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     psi(t^r f(D) A, t^-r g(D) B) = tr(AB) sum_{x=-r}^{-1} f(x) g(x+r),
     antisymmetric for r < 0 and zero unless the t powers cancel.  A row
     (i, p, q) of a meets only the row (-i, q, p) of b; central parts of
-    the inputs contribute nothing.
+    the inputs contribute nothing: C's row has i = 0.
     """
-    (na, nb), total = _operands(a, b, AlgebraElement), 0
-    for (i, p, q), f in na.items():
+    _check_operands(a, b, AlgebraElement)
+    nb, total = b.nums, 0
+    for (i, p, q), f in a.nums.items():
         g = nb.get((-i, q, p))
         if g is None or not i:
             continue

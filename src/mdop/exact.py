@@ -5,10 +5,10 @@ Every scalar is an arbitrary-precision rational (fractions.Fraction) at
 the API.  Polynomials are dense in a single formal indeterminate, which
 stands in for the free module parameter; an identity verified with the
 formal parameter therefore holds for every specialization at once.
-Inside, a polynomial is integer numerators over one denominator, algebra
-elements (C as one more row) and module vectors are rows of them over one
-denominator (RowSum), and a basis change maps a row of integers, so inner
-loops run on int arithmetic.
+Inside, algebra elements (C as one more row), module vectors and
+polynomials (one row) are rows of integer numerators over one denominator
+(RowSum), every exact scalar is read by _rational, and a basis change maps
+a row of integers, so inner loops run on int arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import starmap, zip_longest
-from operator import add
+from operator import add, neg
 
 # The base scalar type.  Fraction already maintains the canonical form we
 # need: reduced, positive denominator, zero stored as 0/1.
@@ -34,11 +34,13 @@ class DimensionError(ValueError):
     """Size or rank mismatch between operands."""
 
 
-def _exact(value):
-    # An int or a Fraction as it is: both carry .numerator and .denominator.
+def _rational(value) -> tuple[tuple[int, ...], int] | None:
+    # The one reader of an exact scalar: an int or a Fraction (already in lowest terms) as
+    # the one-row normal form (numerators, den) of a constant, zero as ((), 1); else None.
     if isinstance(value, (int, Fraction)):
-        return value
-    raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+        top = value.numerator
+        return (top,) if top else (), value.denominator
+    return None
 
 
 def gen_binomial(top: int, s: int) -> int:
@@ -131,16 +133,9 @@ def _power(base, exponent: int) -> list[int]:
     return result
 
 
-def _poly(normal: tuple[dict, int]) -> "Poly":
-    # The Poly of a one-row normal form (rows, den), as _reduced_rows returns it.
-    poly = object.__new__(Poly)
-    poly.nums, poly.den = normal[0].get(0, ()), normal[1]
-    return poly
-
-
 def _reduced(nums: list[int], den: int) -> "Poly":
     # The Poly nums/den in the normal form of _reduced_rows, as one row; zero has den = 1.
-    return _poly(_reduced_rows({0: nums}, den))
+    return Poly._raw(None, _reduced_rows({0: nums}, den))
 
 
 def _reduced_rows(rows: Mapping, den: int) -> tuple[dict, int]:
@@ -189,7 +184,7 @@ class RowSum:
     """A finite sum stored as rows in a context ctx: nums maps each row key to a
     nonempty tuple of integer numerators by ascending power, with no trailing
     zero, over one den > 0 with gcd(den, *all nums) = 1, so equal sums are
-    equal structurally.  Algebra elements and module vectors are RowSums.  A
+    equal structurally.  Algebra elements, module vectors and Polys are RowSums.  A
     subclass reads input terms by _word(ctx, key), which gives (row key,
     power), and _scalar(coefficient), which gives (numerators, den) from that
     power up, or None to refuse the coefficient; + and - take equal contexts.
@@ -246,7 +241,8 @@ class RowSum:
         return self._raw(self.ctx, _sum_rows(self.nums, self.den, other.nums, other.den, sign))
 
     def __neg__(self):
-        return self * -1
+        rows = {key: tuple(map(neg, row)) for key, row in self.nums.items()}
+        return self._raw(self.ctx, (rows, self.den))
 
     def __mul__(self, scalar):
         scalar = self._scalar(scalar)
@@ -259,21 +255,32 @@ class RowSum:
     __rmul__ = __mul__
 
 
-class Poly:
+class Poly(RowSum):
     """Univariate polynomial over the rationals.
 
-    Stored as integer numerators nums (ascending power) over one positive
-    denominator den, in normal form: no trailing zeros and gcd 1, so equal
-    polynomials compare equal structurally.  coeffs gives the same
-    coefficients as Fractions.  Instances are immutable by convention; all
-    operations return new values.
+    A RowSum of context None with at most one row, of key 0: row holds the
+    integer numerators (ascending power, no trailing zero, () for zero)
+    over one positive denominator den, with gcd 1, so equal polynomials
+    compare equal structurally.  coeffs gives the same coefficients as
+    Fractions.  An int or a Fraction reads as a constant in +, -, * and ==.
+    Instances are immutable by convention; all operations return new values.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
-    def __new__(cls, coeffs: Iterable = ()):
-        words = [(0, e, c.numerator, c.denominator) for e, c in enumerate(map(_exact, coeffs))]
-        return _poly(_summed_rows(words))
+    def __init__(self, coeffs: Iterable = ()):
+        super().__init__(None, enumerate(coeffs))
+
+    @staticmethod
+    def _word(ctx, e: int) -> tuple:
+        return 0, e
+
+    @staticmethod
+    def _scalar(value):
+        # A Poly's row, or else an exact scalar's (_rational).
+        if type(value) is Poly:
+            return value.row, value.den
+        return _rational(value)
 
     @staticmethod
     def const(value) -> Poly:
@@ -284,92 +291,63 @@ class Poly:
         """The formal indeterminate itself."""
         return Poly((0, 1))
 
-    @staticmethod
-    def _coerce(value) -> "Poly | None":
-        if isinstance(value, Poly):
-            return value
-        if isinstance(value, (int, Fraction)):  # already in lowest terms
-            return _poly(({0: (value.numerator,)} if value else {}, value.denominator))
-        return None
+    @property
+    def row(self) -> tuple[int, ...]:
+        """The numerators by ascending power; () for the zero polynomial."""
+        return self.nums.get(0, ())
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.nums)
+        return tuple(Fraction(c, self.den) for c in self.row)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.nums) - 1
+        return len(self.row) - 1
 
     def constant_value(self) -> Fraction:
-        if len(self.nums) > 1:
+        if self.degree > 0:
             raise ValueError("polynomial is not constant")
-        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
+        return self(0)
 
     def __call__(self, value) -> Fraction:
         """Evaluate at an exact point (Horner on numerators)."""
-        point = _exact(value)
-        top, bottom = point.numerator, point.denominator
-        acc, scale = 0, 1
-        for c in reversed(self.nums):
+        point = _rational(value)
+        if point is None:
+            raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+        nums, bottom = point
+        top, acc, scale = nums[0] if nums else 0, 0, 1
+        for c in reversed(self.row):
             acc = acc * top + c * scale
             scale *= bottom
-        return Fraction(acc, self.den * scale // bottom) if self.nums else Fraction(0)
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
+        return Fraction(acc * bottom, self.den * scale)
 
     def __eq__(self, other) -> bool:
-        if type(other) is not Poly:
-            other = Poly._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.nums == other.nums and self.den == other.den
+        # RowSum's, with an int or a Fraction read as a constant on either side.
+        if type(other) is not Poly and _rational(other) is not None:
+            other = Poly.const(other)
+        return super().__eq__(other)
 
     def __hash__(self) -> int:
-        if len(self.nums) <= 1:
+        if self.degree <= 0:
             return hash(self.constant_value())
-        return hash((self.nums, self.den))
+        return hash((self.row, self.den))
 
-    def __neg__(self) -> Poly:
-        poly = object.__new__(Poly)
-        poly.nums = tuple(-c for c in self.nums)
-        poly.den = self.den
-        return poly
+    def _combine(self, other, sign: int):
+        # As for ==.
+        if type(other) is not Poly and _rational(other) is not None:
+            other = Poly.const(other)
+        return super()._combine(other, sign)
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
+    __radd__ = RowSum.__add__
 
     def __rsub__(self, other):
         return -self + other
 
-    def _combine(self, other, sign: int):
-        # self + sign * other, on the one-row store
-        if type(other) is not Poly:
-            other = Poly._coerce(other)
-            if other is None:
-                return NotImplemented
-        return _poly(_sum_rows({0: self.nums}, self.den, {0: other.nums}, other.den, sign))
-
-    def __mul__(self, other):
-        if type(other) is not Poly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            top = other.numerator
-            return _reduced([c * top for c in self.nums], self.den * other.denominator)
-        return _reduced(_convolve(self.nums, other.nums), self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        return _reduced(_power(self.nums, exponent), self.den**exponent)
+        return _reduced(_power(self.row, exponent), self.den**exponent)
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r})"
@@ -388,9 +366,7 @@ def jordan_shifted_power(base, m: int, j: int) -> tuple[Poly, ...]:
         raise ValueError("Jordan block size must be positive")
     if j < 0:
         raise ValueError("exponent must be nonnegative")
-    poly = Poly._coerce(base)
-    if poly is None:
-        raise TypeError("base must be an exact scalar or Poly")
+    poly = Poly.const(base)
     return tuple(math.comb(j, d) * poly ** (j - d) for d in range(min(m, j + 1)))
 
 

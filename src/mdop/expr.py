@@ -442,7 +442,7 @@ def _poly_pieces(nums, den: int) -> list[tuple[int, str]]:
 
 
 def format_poly(p: Poly) -> str:
-    return _join_signed(_poly_pieces(p.nums, p.den))
+    return _join_signed(_poly_pieces(p.row, p.den))
 
 
 def format_module_vector(v: ModuleVector) -> str:
@@ -483,7 +483,7 @@ def falling_element_to_json(f: FallingElement) -> dict:
 def _param_json(param: Poly):
     if param == Poly.var():
         return "formal"
-    coeffs = [_ratio(n, param.den) for n in param.nums] or ["0"]
+    coeffs = [_ratio(n, param.den) for n in param.row] or ["0"]
     return coeffs if len(coeffs) > 1 else coeffs[0]
 
 
@@ -501,4 +501,4 @@ def module_vector_to_json(v: ModuleVector) -> dict:
 
 
 def poly_to_json(p: Poly) -> dict:
-    return {"coeffs": [_ratio(n, p.den) for n in p.nums]}
+    return {"coeffs": [_ratio(n, p.den) for n in p.row]}

@@ -28,7 +28,6 @@ from .algebra import AlgebraElement, Monomial, embed_scalar
 from .exact import DimensionError, Poly, RowSum, _jordan_power_cached, _reduced, _reduced_rows
 
 _POLY_ZERO = Poly(())
-_POLY_VAR = Poly.var()
 
 
 class Family(Enum):
@@ -78,11 +77,8 @@ class ModuleParams(_Record):
 
     _fields = ("family", "rank", "m", "param")
 
-    def __init__(self, family: Family, rank: int, m: int = 1, param: Poly = _POLY_VAR):
-        poly = Poly._coerce(param)
-        if poly is None:
-            raise TypeError("the module parameter must be an exact scalar or Poly")
-        self._freeze(family, rank, m, poly)
+    def __init__(self, family: Family, rank: int, m: int = 1, param: Poly = Poly.var()):
+        self._freeze(family, rank, m, param if type(param) is Poly else Poly.const(param))
         if not isinstance(rank, int) or rank < 1:
             raise DimensionError("rank must be a positive integer")
         if not isinstance(m, int) or m < 1:
@@ -126,10 +122,7 @@ class ModuleVector(RowSum):
         _check_slot(params, r, s)
         return (int(k), r, s), 0
 
-    @staticmethod
-    def _scalar(value):
-        poly = Poly._coerce(value)
-        return None if poly is None else (poly.nums, poly.den)
+    _scalar = staticmethod(Poly._scalar)
 
     @staticmethod
     def basis(params: ModuleParams, k: int, r: int, s: int = 1) -> ModuleVector:
@@ -165,7 +158,7 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
         raise DimensionError("operator and vector ranks differ")
     twisted = params.family is Family.VBAR
     m = params.m
-    pnums, pden = params.param.nums, params.param.den
+    pnums, pden = params.param.row, params.param.den
     slots: dict[int, list] = {}
     for (k, r, s), cv in v.nums.items():
         slots.setdefault(r, []).append((k, s, cv))

@@ -17,6 +17,7 @@ from mdop import exact, reps
 from mdop.algebra import AlgebraElement, Monomial
 from mdop.exact import Poly, jordan_shifted_power
 from mdop.reps import Family, ModuleParams, ModuleVector, act
+from row_store import assert_rows_normal
 
 LAMBDAS = (Fraction(3, 2), Fraction(-1, 3), Fraction(22, 7), Fraction(1, 97))
 
@@ -99,8 +100,7 @@ def _vector(rng, params):
 
 def _assert_normal(poly):
     assert type(poly) is Poly and poly
-    assert poly.den > 0 and math.gcd(poly.den, *poly.nums) == 1
-    assert poly.nums[-1] != 0
+    assert_rows_normal(poly.nums, poly.den)
 
 
 def test_act_matches_the_reference():
@@ -139,7 +139,7 @@ def test_high_jordan_slots_meet_every_band_row():
 
 def test_jordan_band_matches_the_reference():
     for lam in (*LAMBDAS, 0, Poly.var(), -Poly.var()):
-        param = Poly._coerce(lam)
+        param = Poly.const(lam)
         for shift in (-3, 0, 5):
             for m in (1, 2, 3):
                 for j in range(9):

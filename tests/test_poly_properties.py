@@ -1,14 +1,15 @@
-"""Property tests: Poly against a list-of-Fraction reference, and the
-coefficient types the kernel hands back at its boundary."""
+"""Property tests: Poly against a list-of-Fraction reference, the one reader of
+exact scalars at each entrance, and the coefficient types the kernel hands
+back at its boundary."""
 
-import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdop import algebra, reps
-from mdop.exact import Poly
+from mdop.exact import Poly, jordan_shifted_power
 from mdop.reps import Family, ModuleParams
 from mdop.verify import sample_element, sample_falling_element, sample_module_vector
 from row_store import assert_rows_normal
@@ -41,10 +42,9 @@ def ref_mul(a, b):
 
 
 def assert_normal(p: Poly):
-    assert p.den > 0
-    assert math.gcd(p.den, *p.nums) == 1
-    assert not p.nums or p.nums[-1] != 0
-    assert all(type(c) is int for c in p.nums)
+    assert type(p) is Poly and p.ctx is None
+    assert_rows_normal(p.nums, p.den)
+    assert p.row == p.nums.get(0, ())
     assert all(type(c) is Fraction for c in p.coeffs)
 
 
@@ -79,7 +79,7 @@ def test_sums_that_cancel(a, tail):
     pa = Poly(a)
     zero = pa - Poly(a)
     assert_normal(zero)
-    assert (zero.nums, zero.den) == ((), 1)
+    assert (zero.nums, zero.row, zero.den) == ({}, (), 1)
     assert zero == 0 and not zero
     rest = pa + (Poly(tail) - pa)
     assert_normal(rest)
@@ -120,6 +120,64 @@ def test_constants_match_numbers(c):
     assert p == c and c == p
     assert hash(p) == hash(c)
     assert p.constant_value() == c
+
+
+exact_scalars = st.one_of(st.integers(-9, 9), rationals)
+
+
+@examples
+@given(coeff_lists, exact_scalars)
+def test_scalars_read_as_constants_on_either_side(a, c):
+    # Every operator takes an int or a Fraction as the constant polynomial,
+    # reflected forms included.
+    p, k = Poly(a), Poly.const(c)
+    for got, want in (
+        (p + c, p + k), (c + p, k + p), (p - c, p - k),
+        (c - p, k - p), (p * c, p * k), (c * p, k * p),
+    ):
+        assert_normal(got)
+        assert got == want
+
+
+def test_inexact_operands_are_refused():
+    p = Poly((1, 2))
+    for op in (
+        lambda: p + 1.5, lambda: 1.5 + p, lambda: p - 1.5,
+        lambda: 1.5 - p, lambda: p * 1.5, lambda: 1.5 * p,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert (p == "x") is False and (p != "x") is True
+
+
+@pytest.mark.parametrize("cls", (algebra.AlgebraElement, algebra.FallingElement))
+@pytest.mark.parametrize("poly", (Poly.var(), Poly.const(2)))
+def test_an_element_refuses_a_poly(cls, poly):
+    # A Poly is a vector's coefficient, never an element's.
+    e = cls.term(1, 0, 0, 1, 1)
+    for op in (
+        lambda: cls(1, {algebra.Monomial(0, 0, 1, 1): poly}),
+        lambda: cls(1, {}, poly),
+        lambda: e * poly,
+        lambda: poly * e,
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize(
+    "read",
+    (
+        lambda c: Poly((c,)),
+        Poly.const,
+        Poly.var(),
+        lambda c: ModuleParams(Family.V, 1, 1, c),
+        lambda c: jordan_shifted_power(c, 2, 3),
+    ),
+)
+def test_every_entrance_refuses_a_float(read):
+    with pytest.raises(TypeError):
+        read(1.5)
 
 
 def _is_fraction(value) -> bool:

@@ -1,7 +1,6 @@
 """Verification suite plumbing: determinism, sampling, report shape."""
 
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from mdop.verify import (
     sample_module_vector,
     sample_monomial,
 )
+from row_store import assert_rows_normal
 
 SMALL = SuiteConfig(ranks=(1, 2), samples=20, seed=7)
 
@@ -75,8 +75,8 @@ class TestSampling:
         params = ModuleParams.formal(Family.VBAR, 2, 2)
         for _ in range(300):
             for c in sample_module_vector(rng, params, 1).entries.values():
-                assert c.nums and c.nums[-1] and c.den > 0
-                assert math.gcd(c.den, *c.nums) == 1
+                assert c
+                assert_rows_normal(c.nums, c.den)
 
     def test_same_seed_same_sequence(self):
         a = random.Random(99)
