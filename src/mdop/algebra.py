@@ -35,9 +35,11 @@ from .exact import (
     DimensionError,
     RowSum,
     _falling_row,
+    _power,
     _power_row,
     _rational,
     _reduced_rows,
+    _sum_rows,
     gen_binomial,
 )
 
@@ -87,8 +89,10 @@ class _OperatorSum(RowSum):
         c = _rational(central)
         if c is None:
             raise TypeError(f"expected an exact scalar, got {type(central).__name__}")
-        nums, den = c
-        super().__init__(rank, terms, [(_C, 0, nums[0], den)] if nums else ())
+        row, den = c
+        super().__init__(rank, terms)
+        if row:  # C is one more row, added after the terms
+            self.nums, self.den = _sum_rows(self.nums, self.den, {_C: row}, den, 1)
 
     @staticmethod
     def _word(rank: int, mono) -> tuple:
@@ -152,13 +156,9 @@ def _operands(a, b, cls):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _product_expansion(j: int, k: int) -> tuple[tuple[int, int], ...]:
-    # (D + k)^j = sum_s binom(j, s) k^s D^(j - s); zero summands dropped.
-    out = []
-    for s in range(j + 1):
-        c = math.comb(j, s) * k**s
-        if c:
-            out.append((j - s, c))
-    return tuple(out)
+    # (D + k)^j as (D power, coefficient) by descending power; zero summands dropped.
+    row = _power((k, 1), j)
+    return tuple((e, row[e]) for e in range(j, -1, -1) if row[e])
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -63,15 +63,16 @@ def _add_module_flags(sub: argparse.ArgumentParser) -> None:
         "--family", choices=("V", "Vbar"), default="V", help="module family (default V)"
     )
     sub.add_argument("--m", type=int, default=1, help="Jordan block size (default 1)")
+    _add_lambda(sub, "module parameter: a rational like 3/2, or 'formal' (default)")
+
+
+def _add_lambda(sub: argparse.ArgumentParser, help_text: str) -> None:
     sub.add_argument(
         "--lambda",
         dest="lam",
         default="formal",
         metavar="VALUE",
-        help=(
-            "module parameter: a rational like 3/2, or 'formal' (default); "
-            "write a negative value as --lambda=-1/3"
-        ),
+        help=f"{help_text}; write a negative value as --lambda=-1/3",
     )
 
 
@@ -116,16 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pair", help="pair a twisted-family vector against its family-V partner"
     )
     _add_common(pair)
-    pair.add_argument(
-        "--lambda",
-        dest="lam",
-        default="formal",
-        metavar="VALUE",
-        help=(
-            "parameter of the twisted side, as for act; the partner carries its "
-            "negative; write a negative value as --lambda=-1/3"
-        ),
-    )
+    _add_lambda(pair, "parameter of the twisted side, as for act; the partner carries its negative")
     pair.add_argument("twisted", metavar="VBAR_VECTOR")
     pair.add_argument("vector", metavar="V_VECTOR")
     pair.set_defaults(func=_cmd_pair)

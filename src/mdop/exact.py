@@ -168,18 +168,6 @@ def _sum_rows(a: Mapping, da: int, b: Mapping, db: int, sign: int) -> tuple[dict
     return _reduced_rows(out, da * fa)
 
 
-def _summed_rows(words: list) -> tuple[dict, int]:
-    # Normal form of the sum of the words (key, e, num, den), each num/den at power e of row
-    # key: the one place where input terms accumulate, repeated words added.
-    den = math.lcm(*[w[3] for w in words])
-    rows: dict = {}
-    for key, e, num, d in words:
-        row = rows.setdefault(key, [])
-        row.extend([0] * (e + 1 - len(row)))
-        row[e] += num * (den // d)
-    return _reduced_rows(rows, den)
-
-
 class RowSum:
     """A finite sum stored as rows in a context ctx: nums maps each row key to a
     nonempty tuple of integer numerators by ascending power, with no trailing
@@ -192,19 +180,30 @@ class RowSum:
 
     __slots__ = ("ctx", "nums", "den")
 
-    def __init__(self, ctx, terms: Mapping | Iterable = (), words: Iterable = ()):
-        # The sum of terms, (key, coefficient) pairs, and of words (row key, power, numerator,
-        # den) read already, as an element's C; repeated keys add up.
-        words = list(words)
+    def __init__(self, ctx, terms: Mapping | Iterable = ()):
+        # The sum of terms, (key, coefficient) pairs, repeated keys added: the one place where
+        # input terms accumulate.  Each pair is read into its row over a running den; the rows
+        # read so far are rescaled only when a coefficient's den does not divide it.
+        rows: dict = {}
+        den = 1
         for key, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
             key, e = self._word(ctx, key)
             scalar = self._scalar(coeff)
             if scalar is None:
                 raise TypeError(f"expected an exact coefficient, got {type(coeff).__name__}")
-            nums, den = scalar
-            words += [(key, s, n, den) for s, n in enumerate(nums, e)]
+            nums, d = scalar
+            if den % d:
+                f = d // math.gcd(den, d)
+                den *= f
+                for row in rows.values():
+                    row[:] = [f * c for c in row]
+            f = den // d
+            row = rows.setdefault(key, [])
+            row.extend([0] * (e + len(nums) - len(row)))
+            for s, n in enumerate(nums, e):
+                row[s] += f * n
         self.ctx = ctx
-        self.nums, self.den = _summed_rows(words)
+        self.nums, self.den = _reduced_rows(rows, den)
 
     @classmethod
     def _raw(cls, ctx, normal: tuple[dict, int]):
@@ -323,10 +322,9 @@ class Poly(RowSum):
         return Fraction(acc * bottom, self.den * scale)
 
     def __eq__(self, other) -> bool:
-        # RowSum's, with an int or a Fraction read as a constant on either side.
-        if type(other) is not Poly and _rational(other) is not None:
-            other = Poly.const(other)
-        return super().__eq__(other)
+        # A Poly's row, or an int's or a Fraction's as a constant, on either side.
+        scalar = Poly._scalar(other)
+        return NotImplemented if scalar is None else (self.row, self.den) == scalar
 
     def __hash__(self) -> int:
         if self.degree <= 0:
@@ -335,9 +333,11 @@ class Poly(RowSum):
 
     def _combine(self, other, sign: int):
         # As for ==.
-        if type(other) is not Poly and _rational(other) is not None:
-            other = Poly.const(other)
-        return super()._combine(other, sign)
+        scalar = Poly._scalar(other)
+        if scalar is None:
+            return NotImplemented
+        nums, den = scalar
+        return Poly._raw(None, _sum_rows(self.nums, self.den, {0: nums}, den, sign))
 
     __radd__ = RowSum.__add__
 

@@ -97,13 +97,6 @@ class ModuleParams(_Record):
         return ModuleParams(Family.V, self.rank, self.m, -self.param)
 
 
-def _check_slot(params: ModuleParams, r: int, s: int) -> None:
-    if not (1 <= r <= params.rank):
-        raise DimensionError(f"matrix slot {r} out of range for rank {params.rank}")
-    if not (1 <= s <= params.m):
-        raise DimensionError(f"Jordan slot {s} out of range for m = {params.m}")
-
-
 class ModuleVector(RowSum):
     """Finite-support module vector with Poly coefficients, stored as an element is
     (exact.RowSum): nums, (k, r, s) -> int tuple by power of the parameter, over den;
@@ -119,15 +112,17 @@ class ModuleVector(RowSum):
     @staticmethod
     def _word(params: ModuleParams, slot) -> tuple:
         k, r, s = slot
-        _check_slot(params, r, s)
+        if not (1 <= r <= params.rank):
+            raise DimensionError(f"matrix slot {r} out of range for rank {params.rank}")
+        if not (1 <= s <= params.m):
+            raise DimensionError(f"Jordan slot {s} out of range for m = {params.m}")
         return (int(k), r, s), 0
 
     _scalar = staticmethod(Poly._scalar)
 
     @staticmethod
     def basis(params: ModuleParams, k: int, r: int, s: int = 1) -> ModuleVector:
-        _check_slot(params, r, s)
-        return ModuleVector._raw(params, ({(int(k), r, s): (1,)}, 1))
+        return ModuleVector(params, [((k, r, s), 1)])
 
     @property
     def entries(self) -> dict[tuple[int, int, int], Poly]:

@@ -22,6 +22,7 @@ from mdop.algebra import (
     to_falling,
 )
 from mdop.exact import DimensionError, gen_binomial
+from mdop.reps import Family, ModuleParams, ModuleVector, act
 from mdop.verify import sample_element, sample_falling_element
 
 
@@ -355,6 +356,34 @@ class TestElementBasics:
         for word in (Monomial(0, 0, 0, 0), (0, 0, 0, 0)):
             with pytest.raises(DimensionError):
                 FallingElement(2, {word: 1})
+
+    def test_sum_across_ranks_refused(self):
+        for combine in (AlgebraElement.__add__, AlgebraElement.__sub__):
+            with pytest.raises(DimensionError):
+                combine(AlgebraElement.term(1, 0, 1, 1, 1), AlgebraElement.term(2, 0, 1, 1, 1))
+
+    def test_operations_refuse_the_other_element_class(self):
+        a, f = T1, FallingElement.term(1, 1, 0, 1, 1)
+        v = ModuleVector.basis(ModuleParams.formal(Family.V, 1), 0, 1)
+        calls = [
+            lambda: cocycle_psi(f, f),
+            lambda: cocycle_psi(a, f),
+            lambda: to_falling(f),
+            lambda: from_falling(a),
+            lambda: sigma(f),
+            lambda: act(f, v),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
+    def test_repr_names_the_rank_terms_and_central(self):
+        e = AlgebraElement(2, {Monomial(-1, 2, 1, 2): Fraction(1, 3)}, 5)
+        assert repr(e) == (
+            "AlgebraElement(rank=2, terms=[(Monomial(i=-1, j=2, p=1, q=2), Fraction(1, 3))], "
+            "central=Fraction(5, 1))"
+        )
+        assert repr(FallingElement(1)) == "FallingElement(rank=1, terms=[], central=Fraction(0, 1))"
 
     def test_no_terms_is_zero(self):
         assert AlgebraElement(2, None) == AlgebraElement(2) == AlgebraElement.zero(2)

@@ -275,6 +275,30 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("bracket", "--n", "0", "t", "D"), "rank must be a positive integer"),
+            (("act", "--n", "0", "t", "v[0,1]"), "rank must be a positive integer"),
+            (
+                ("verify", "--n", "1,x", "--list-checks"),
+                "argument --n: expected a comma-separated integer list, got '1,x'",
+            ),
+            (
+                ("bracket", "--n", "2", "E[1,3]", "D"),
+                "matrix index 3 out of range for rank 2 (column 5)",
+            ),
+            (("bracket", "--n", "1", "FD FD", "D"), "at most one FD atom per term (column 4)"),
+            (
+                ("bracket", "--n", "2", "E[1,1] E[1,2]", "D"),
+                "at most one E atom per term (column 8)",
+            ),
+            (("act", "--n", "1", "t", "(a+)v[0,1]"), "expected a coefficient or 'a' (column 4)"),
+        ],
+    )
+    def test_refusal_is_its_one_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_d_power_above_limit_is_refused_before_kernel_work(self, capsys, monkeypatch):
         # D^20000 once ran for minutes; the parser now refuses it before any
         # table or product is built.

@@ -279,5 +279,12 @@ class TestPoly:
         assert Poly(()).degree == -1
         assert X.degree == 1
 
+    def test_constant_value_and_pow_refusals(self):
+        assert Poly.const(Fraction(3, 2)).constant_value() == Fraction(3, 2)
+        with pytest.raises(ValueError, match="not constant"):
+            X.constant_value()
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            X ** -1
+
     def test_hash_consistent_with_numeric_equality(self):
         assert hash(Poly.const(2)) == hash(Fraction(2))

@@ -260,3 +260,31 @@ def test_elements_stay_in_normal_form(ta, tb, central, scalar):
     ]
     for e in results:
         assert_element_normal(e)
+
+
+# One-pair coefficients whose denominators are coprime (3, 5, 7), divide one another
+# (2, 4, 8 and 3, 6, 12) or repeat, drawn over a small pool of keys so that keys repeat.
+pair_coeffs = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 12)))
+one_pairs = st.lists(st.tuples(words, pair_coeffs), max_size=8)
+
+
+@examples
+@given(one_pairs, pair_coeffs, st.data())
+def test_the_constructor_sums_pairs_over_any_denominators_in_any_order(pairs, central, data):
+    # Each store built from all the pairs at once equals the sum of its one-pair values,
+    # whichever order the pairs (and so their denominators) arrive in.
+    shuffled = data.draw(st.permutations(pairs))
+    params = ModuleParams.formal(Family.VBAR, 2, 2)
+    x = Poly.var()
+    for order in (pairs, shuffled):
+        element = algebra.AlgebraElement(2, order, central)
+        parts = [algebra.AlgebraElement(2, [pair]) for pair in pairs]
+        assert element == sum(parts, algebra.AlgebraElement.central_term(2, central))
+        assert_element_normal(element)
+        vector = reps.ModuleVector(params, [((i, p, q), c * x**j) for (i, j, p, q), c in order])
+        parts = [reps.ModuleVector(params, [((i, p, q), c * x**j)]) for (i, j, p, q), c in pairs]
+        assert vector == sum(parts, reps.ModuleVector.zero(params))
+        assert_rows_normal(vector.nums, vector.den)
+        poly = Poly(c for _, c in order)
+        assert poly == sum((c * x**e for e, (_, c) in enumerate(order)), Poly(()))
+        assert_normal(poly)

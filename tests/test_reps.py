@@ -237,6 +237,12 @@ class TestPairing:
             pairing(w, same)
         with pytest.raises(ValueError):
             pairing(w, w)
+        wide = formal(Family.VBAR, 2)
+        with pytest.raises(DimensionError):
+            pairing(ModuleVector.basis(wide, 0, 1), ModuleVector.basis(params_w.dual(), 0, 1))
+        jordan = formal(Family.VBAR, 1, 2)
+        with pytest.raises(ValueError, match="m = 1 only"):
+            pairing(ModuleVector.basis(jordan, 0, 1), ModuleVector.basis(jordan.dual(), 0, 1))
 
 
 class TestModuleParams:
@@ -407,6 +413,14 @@ class TestVectorBasics:
             ModuleVector(formal(rank=1), {(0, 2, 1): 1})
         with pytest.raises(DimensionError):
             ModuleVector(formal(rank=1, m=1), {(0, 1, 2): 1})
+
+    def test_repr_names_the_params_and_entries(self):
+        params = formal(Family.V, 1, 2)
+        v = ModuleVector(params, {(1, 1, 2): X + Fraction(1, 2)})
+        assert repr(v) == (
+            f"ModuleVector(params={params!r}, entries=[((1, 1, 2), {X + Fraction(1, 2)!r})])"
+        )
+        assert repr(X + Fraction(1, 2)) == "Poly((Fraction(1, 2), Fraction(1, 1)))"
 
     def test_scalar_multiplication_by_poly(self):
         v = ModuleVector.basis(formal(), 0, 1)

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from mdop.exact import Poly
+from mdop.exact import DimensionError, Poly
 from mdop.expr import format_module_vector, parse_module_vector
 from mdop.reps import (
     Family,
@@ -164,6 +164,10 @@ def test_inexact_entries_refused(bad):
 
 def test_basis_is_the_vector_the_constructor_builds():
     params = ModuleParams.formal(Family.VBAR, 2, 2)
-    v = ModuleVector.basis(params, -3, 2, 2)
-    assert v == ModuleVector(params, {(-3, 2, 2): 1})
-    assert_normal(v)
+    for k, r, s in product((-3, 0, 4), (1, 2), (1, 2)):
+        v = ModuleVector.basis(params, k, r, s)
+        assert v == ModuleVector(params, [((k, r, s), 1)]) == ModuleVector(params, {(k, r, s): 1})
+        assert_normal(v)
+    for r, s in ((0, 1), (3, 1), (1, 0), (1, 3)):
+        with pytest.raises(DimensionError):
+            ModuleVector.basis(params, 0, r, s)

@@ -237,6 +237,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SuiteConfig(ranks=(0,))
 
+    def test_bad_jordan_sizes(self):
+        for m_values in ((), (0,), (1, -2)):
+            with pytest.raises(ValueError, match="m_values"):
+                SuiteConfig(m_values=m_values)
+
     def test_bad_seed(self):
         with pytest.raises(ValueError):
             SuiteConfig(seed=-1)
