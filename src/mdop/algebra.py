@@ -35,7 +35,6 @@ from .exact import (
     DimensionError,
     RowSum,
     _falling_row,
-    _power,
     _power_row,
     _rational,
     _reduced_rows,
@@ -156,9 +155,13 @@ def _operands(a, b, cls):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _product_expansion(j: int, k: int) -> tuple[tuple[int, int], ...]:
-    # (D + k)^j as (D power, coefficient) by descending power; zero summands dropped.
-    row = _power((k, 1), j)
-    return tuple((e, row[e]) for e in range(j, -1, -1) if row[e])
+    # (D + k)^j = sum_s binom(j, s) k^s D^(j - s); zero summands dropped.
+    out = []
+    for s in range(j + 1):
+        c = math.comb(j, s) * k**s
+        if c:
+            out.append((j - s, c))
+    return tuple(out)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -182,21 +182,18 @@ class RowSum:
 
     def __init__(self, ctx, terms: Mapping | Iterable = ()):
         # The sum of terms, (key, coefficient) pairs, repeated keys added: the one place where
-        # input terms accumulate.  Each pair is read into its row over a running den; the rows
-        # read so far are rescaled only when a coefficient's den does not divide it.
-        rows: dict = {}
-        den = 1
+        # input terms accumulate.  Each pair is read once, as (row key, power, numerators,
+        # den); then every numerator is written into its row over the lcm of the dens.
+        read = []
         for key, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
             key, e = self._word(ctx, key)
             scalar = self._scalar(coeff)
             if scalar is None:
                 raise TypeError(f"expected an exact coefficient, got {type(coeff).__name__}")
-            nums, d = scalar
-            if den % d:
-                f = d // math.gcd(den, d)
-                den *= f
-                for row in rows.values():
-                    row[:] = [f * c for c in row]
+            read.append((key, e, *scalar))
+        den = math.lcm(*[w[3] for w in read])
+        rows: dict = {}
+        for key, e, nums, d in read:
             f = den // d
             row = rows.setdefault(key, [])
             row.extend([0] * (e + len(nums) - len(row)))

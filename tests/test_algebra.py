@@ -1,5 +1,6 @@
 """Algebra core: products, brackets, cocycle, bases, gradation, twist."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -384,6 +385,19 @@ class TestElementBasics:
             "central=Fraction(5, 1))"
         )
         assert repr(FallingElement(1)) == "FallingElement(rank=1, terms=[], central=Fraction(0, 1))"
+
+    def test_many_coprime_denominators_at_a_high_d_power(self):
+        # 300 terms 1/p t^k D^1200 over distinct primes p, each key twice: the constructor
+        # writes each pair once over the lcm of all the denominators, in either order.
+        primes = [p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))][:300]
+        pairs = [(Monomial(k % 150, 1200, 1, 1), Fraction(1, p)) for k, p in enumerate(primes)]
+        expected = {}
+        for mono, c in pairs:
+            expected[mono] = expected.get(mono, 0) + c
+        for order in (pairs, pairs[::-1]):
+            e = AlgebraElement(1, order, Fraction(1, 2003))
+            assert e.terms == expected and e.central == Fraction(1, 2003)
+            assert e.den == 2003 * math.prod(primes)
 
     def test_no_terms_is_zero(self):
         assert AlgebraElement(2, None) == AlgebraElement(2) == AlgebraElement.zero(2)
