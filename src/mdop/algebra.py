@@ -35,6 +35,7 @@ from .exact import (
     DimensionError,
     RowSum,
     _falling_row,
+    _power,
     _power_row,
     _rational,
     _reduced_rows,
@@ -97,6 +98,8 @@ class _OperatorSum(RowSum):
     def _word(rank: int, mono) -> tuple:
         if not isinstance(mono, Monomial):
             mono = Monomial(*mono)
+        if not (type(mono.i) is type(mono.j) is type(mono.p) is type(mono.q) is int):
+            raise TypeError(f"indices of {mono} must be ints")
         if mono.j < 0:
             raise ValueError(f"negative D power in {mono}")
         if not (1 <= mono.p <= rank and 1 <= mono.q <= rank):
@@ -155,13 +158,8 @@ def _operands(a, b, cls):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _product_expansion(j: int, k: int) -> tuple[tuple[int, int], ...]:
-    # (D + k)^j = sum_s binom(j, s) k^s D^(j - s); zero summands dropped.
-    out = []
-    for s in range(j + 1):
-        c = math.comb(j, s) * k**s
-        if c:
-            out.append((j - s, c))
-    return tuple(out)
+    # (D + k)^j as its nonzero (power of D, coefficient) pairs, expanded by _power.
+    return tuple((u, c) for u, c in enumerate(_power((k, 1), j)) if c)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

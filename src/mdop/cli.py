@@ -44,6 +44,19 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _capped(kind, what: str, top: int):
+    # A reader of a size flag by kind, int or _int_list, that refuses a value above top as
+    # argparse reads it, so the refusal names the flag: "argument --n: rank above ...".
+    def read(text: str):
+        value = kind(text)
+        if max(value if isinstance(value, tuple) else (value,)) > top:
+            raise argparse.ArgumentTypeError(f"{what} above the limit {top}")
+        return value
+
+    read.__name__ = kind.__name__  # argparse names malformed input by it: "invalid int value"
+    return read
+
+
 def _name_list(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
@@ -52,7 +65,8 @@ def _name_list(text: str) -> tuple[str, ...]:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=1, metavar="N", help="matrix rank (default 1)")
+    rank = _capped(int, "rank", expr.MAX_RANK)
+    sub.add_argument("--n", type=rank, default=1, metavar="N", help="matrix rank (default 1)")
     sub.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
@@ -62,7 +76,8 @@ def _add_module_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--family", choices=("V", "Vbar"), default="V", help="module family (default V)"
     )
-    sub.add_argument("--m", type=int, default=1, help="Jordan block size (default 1)")
+    jordan = _capped(int, "Jordan block size", expr.MAX_JORDAN)
+    sub.add_argument("--m", type=jordan, default=1, help="Jordan block size (default 1)")
     _add_lambda(sub, "module parameter: a rational like 3/2, or 'formal' (default)")
 
 
@@ -126,12 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver = commands.add_parser(
         "verify", help="run the identity verification suite", argument_default=argparse.SUPPRESS
     )
-    ver.add_argument("--n", type=_int_list, dest="ranks", metavar="N1,N2", help="ranks")
-    ver.add_argument("--m", type=_int_list, dest="m_values", metavar="M1,M2", help="Jordan sizes")
+    ranks = _capped(_int_list, "rank", expr.MAX_RANK)
+    ver.add_argument("--n", type=ranks, dest="ranks", metavar="N1,N2", help="ranks")
+    sizes = _capped(_int_list, "Jordan block size", expr.MAX_JORDAN)
+    ver.add_argument("--m", type=sizes, dest="m_values", metavar="M1,M2", help="Jordan sizes")
     ver.add_argument("--samples", type=int)
     ver.add_argument("--seed", type=int)
-    ver.add_argument("--i-bound", type=int)
-    ver.add_argument("--j-bound", type=int)
+    ver.add_argument("--i-bound", type=_capped(int, "t power bound", expr.MAX_I_BOUND))
+    ver.add_argument("--j-bound", type=_capped(int, "D power bound", expr.MAX_J_BOUND))
     ver.add_argument(
         "--checks",
         type=_name_list,
@@ -238,32 +255,10 @@ def _cmd_verify(args):
     return verify.run_suite(verify.SuiteConfig(**given))
 
 
-def _over_limit(args) -> str | None:
-    """The refusal of the first size flag given above its limit, or None."""
-    limits = (
-        ("--n", "rank", expr.MAX_RANK, getattr(args, "ranks", None) or [getattr(args, "n", 1)]),
-        (
-            "--m",
-            "Jordan block size",
-            expr.MAX_JORDAN,
-            getattr(args, "m_values", None) or [getattr(args, "m", 1)],
-        ),
-        ("--i-bound", "t power bound", expr.MAX_I_BOUND, [getattr(args, "i_bound", 0)]),
-        ("--j-bound", "D power bound", expr.MAX_J_BOUND, [getattr(args, "j_bound", 0)]),
-    )
-    for flag, what, top, values in limits:
-        if max(values) > top:
-            return f"argument {flag}: {what} above the limit {top}"
-    return None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        refusal = _over_limit(args)
-        if refusal:
-            parser.error(refusal)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -107,13 +107,20 @@ def power_to_falling_coeffs(j: int) -> tuple[int, ...]:
     return tuple(_falling_row(_unit_row(j)))
 
 
+def _mul_add(out: list, a, b, scale: int = 1) -> None:
+    # The one multiply-add of integer rows: out[i + k] += scale * a[i] * b[k], in place,
+    # zero a[i] skipped; out holds at least len(a) + len(b) - 1 entries.
+    for i, ca in enumerate(a):
+        if ca:
+            ca *= scale
+            for k, cb in enumerate(b, i):
+                out[k] += ca * cb
+
+
 def _convolve(a, b) -> list[int]:
     # Numerators of the product of two polynomials, from their numerators.
     out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for k, cb in enumerate(b):
-                out[i + k] += ca * cb
+    _mul_add(out, a, b)
     return out
 
 

@@ -25,7 +25,9 @@ from itertools import product, starmap
 
 from . import algebra
 from .algebra import AlgebraElement, Monomial, embed_scalar
-from .exact import DimensionError, Poly, RowSum, _jordan_power_cached, _reduced, _reduced_rows
+from .exact import (
+    DimensionError, Poly, RowSum, _jordan_power_cached, _mul_add, _reduced, _reduced_rows
+)
 
 _POLY_ZERO = Poly(())
 
@@ -112,11 +114,13 @@ class ModuleVector(RowSum):
     @staticmethod
     def _word(params: ModuleParams, slot) -> tuple:
         k, r, s = slot
+        if not (type(k) is type(r) is type(s) is int):
+            raise TypeError(f"indices of slot {slot} must be ints")
         if not (1 <= r <= params.rank):
             raise DimensionError(f"matrix slot {r} out of range for rank {params.rank}")
         if not (1 <= s <= params.m):
             raise DimensionError(f"Jordan slot {s} out of range for m = {params.m}")
-        return (int(k), r, s), 0
+        return (k, r, s), 0
 
     _scalar = staticmethod(Poly._scalar)
 
@@ -179,11 +183,7 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
                     acc = out.get(key)
                     if acc is None:
                         acc = out[key] = [0] * width
-                    w = cx * lifts[j_max - j + d]
-                    for a, ca in enumerate(cv):
-                        c = w * ca
-                        for b, cb in enumerate(row):
-                            acc[a + b] += c * cb
+                    _mul_add(acc, cv, row, cx * lifts[j_max - j + d])
     return ModuleVector._raw(params, _reduced_rows(out, x.den * v.den * lifts[j_max]))
 
 
@@ -244,10 +244,8 @@ def pairing(w: ModuleVector, v: ModuleVector) -> Poly:
         cv = vn.get((-k, p, 1))
         if cv is not None:
             total.extend([0] * (len(cw) + len(cv) - 1 - len(total)))
-            for a, ca in enumerate(cw):
-                for b, cb in enumerate(cv):
-                    total[a + b] += ca * cb
-    return _reduced(total, w.den * v.den) if total else _POLY_ZERO
+            _mul_add(total, cw, cv)
+    return _reduced(total, w.den * v.den)
 
 
 class WeightRecord(_Record):

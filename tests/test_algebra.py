@@ -358,6 +358,25 @@ class TestElementBasics:
             with pytest.raises(DimensionError):
                 FallingElement(2, {word: 1})
 
+    @pytest.mark.parametrize("cls", (AlgebraElement, FallingElement))
+    @pytest.mark.parametrize(
+        "word",
+        [
+            (1.5, 0, 1, 1),
+            (1, 1.0, 1, 1),
+            (0, 0.5, 1, 1),
+            Monomial(0, 1, Fraction(1), 1),
+            (0, 1, 1, True),
+            (0, "1", 1, 1),
+        ],
+    )
+    def test_non_int_indices_refused(self, cls, word):
+        # Every stored row key is an int triple, as tests/row_store.py expects.
+        with pytest.raises(TypeError, match="must be ints"):
+            cls(2, {word: 1})
+        with pytest.raises(TypeError, match="must be ints"):
+            cls.term(2, *word)
+
     def test_sum_across_ranks_refused(self):
         for combine in (AlgebraElement.__add__, AlgebraElement.__sub__):
             with pytest.raises(DimensionError):

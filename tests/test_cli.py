@@ -294,6 +294,11 @@ class TestExitCodes:
                 "at most one E atom per term (column 8)",
             ),
             (("act", "--n", "1", "t", "(a+)v[0,1]"), "expected a coefficient or 'a' (column 4)"),
+            # A size flag's reader keeps argparse's wording for a malformed int.
+            (("bracket", "--n", "x", "t", "D"), "argument --n: invalid int value: 'x'"),
+            (("act", "--m", "2.0", "t", "v[0,1]"), "argument --m: invalid int value: '2.0'"),
+            (("verify", "--i-bound", "1.5"), "argument --i-bound: invalid int value: '1.5'"),
+            (("verify", "--j-bound", ""), "argument --j-bound: invalid int value: ''"),
         ],
     )
     def test_refusal_is_its_one_line(self, capsys, argv, message):

@@ -13,6 +13,7 @@ from mdop.exact import (
     Poly,
     _falling_row,
     _jordan_power_cached,
+    _mul_add,
     _power_row,
     falling_factorial,
     falling_to_power_coeffs,
@@ -251,6 +252,37 @@ class TestJordanShiftedPower:
             jordan_shifted_power(X, 2, -1)
         with pytest.raises(TypeError):
             jordan_shifted_power(1.5, 2, 1)
+
+
+class TestSharedHelpers:
+    """The one multiply-add and the one binomial expansion that exact shares out."""
+
+    def test_product_expansion_is_the_binomial_theorem(self):
+        for j in range(60):
+            for k in range(-30, 31):
+                terms = [(j - s, math.comb(j, s) * k**s) for s in range(j + 1)]
+                expected = {(u, c) for u, c in terms if c}
+                got = _product_expansion(j, k)
+                assert set(got) == expected and len(got) == len(expected)
+
+    def test_mul_add_is_the_double_sum(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            a = [rng.choice((0, rng.randint(-(10**30), 10**30))) for _ in range(rng.randint(0, 7))]
+            b = [rng.randint(-50, 50) for _ in range(rng.randint(1, 7))]
+            scale = rng.choice((1, -1, rng.randint(-(10**9), 10**9)))
+            # out is longer than the product and already holds values.
+            base = [rng.randint(-99, 99) for _ in range(len(a) + len(b) + rng.randint(0, 3))]
+            product = [0] * len(base)
+            for i in range(len(a)):
+                for k in range(len(b)):
+                    product[i + k] += a[i] * b[k]
+            out = list(base)
+            _mul_add(out, a, b, scale)
+            assert out == [x + scale * p for x, p in zip(base, product)]
+            out = list(base)
+            _mul_add(out, a, b)  # scale 1
+            assert out == [x + p for x, p in zip(base, product)]
 
 
 class TestCacheBounds:

@@ -10,11 +10,14 @@ tests/test_golden.py on recording it).
 """
 
 import json
+import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import mdop.algebra as algebra
+import mdop.exact as exact
 import mdop.reps as reps
 from mdop.exact import gen_binomial
 from mdop.reps import ModuleVector
@@ -28,6 +31,9 @@ _ORIG_PSI = algebra.cocycle_psi
 _ORIG_ADD_PRODUCTS = algebra._add_products
 _ORIG_GRADE = reps.grade_index
 _ORIG_ACT = reps.act
+_ORIG_POWER = exact._power
+# The memos that hold expansions read from _power, emptied around each mutated run.
+_CACHES = (algebra._product_expansion, exact._jordan_power_cached)
 
 
 def _negated_cocycle(a, b):
@@ -56,6 +62,16 @@ def _biased_expansion(j, k):
         if c:
             out.append((j - s, c))
     return tuple(out)
+
+
+def _biased_power(base, exponent):
+    # The linear branch of _power expanding (c0 + 1 + c1 x)^j: its constant biased by one.
+    if len(base) != 2:
+        return _ORIG_POWER(base, exponent)
+    c0, c1 = base
+    return [
+        math.comb(exponent, e) * (c0 + 1) ** (exponent - e) * c1**e for e in range(exponent + 1)
+    ]
 
 
 def _shifted_grade(params, k, r):
@@ -87,7 +103,7 @@ def _act_target_shifted(x, v):
     )
 
 
-# (mutation name, target module, attribute, replacement, checks observed to fail)
+# (mutation name, target module or modules, attribute, replacement, checks observed to fail)
 MUTATIONS = [
     (
         "cocycle_sign_flip",
@@ -136,6 +152,18 @@ MUTATIONS = [
         },
     ),
     (
+        # The one binomial expansion behind products, sigma and act's Jordan bands, patched
+        # at both bindings that read it.  With warm caches no check fails, hence _mutated.
+        "power_shift_biased",
+        (exact, algebra), "_power", _biased_power,
+        {
+            "associativity", "cocycle_identity", "falling_agreement",
+            "jacobi_central", "jacobi_plain", "matrix_unit_bracket",
+            "module_axiom_V", "module_axiom_Vbar", "pairing_contravariance",
+            "sigma_bracket", "twist_action", "vector_field_bracket",
+        },
+    ),
+    (
         # The sign dropped in the Vbar action only, as reps reaches it.
         "twist_sign_dropped",
         reps, "algebra", _AlgebraWithoutTwistSign(),
@@ -179,9 +207,9 @@ MUTATIONS = [
     MUTATIONS,
     ids=[m[0] for m in MUTATIONS],
 )
-def test_mutation_is_detected(monkeypatch, name, module, attr, replacement, expected):
-    monkeypatch.setattr(module, attr, replacement)
-    report = run_suite(CFG)
+def test_mutation_is_detected(name, module, attr, replacement, expected):
+    with _mutated(module, attr, replacement):
+        report = run_suite(CFG)
     failed = {r.name for r in report.results if not r.passed}
     assert expected <= failed
     # A failing check must carry a replayable counterexample.
@@ -204,6 +232,22 @@ def test_unmutated_suite_passes():
     assert timing_free(report) == _GOLDEN["unmutated"]
 
 
+@contextmanager
+def _mutated(modules, attr, replacement):
+    """attr replaced at each of modules (a module or a tuple of them), with _CACHES
+    emptied on entry and on exit, so that no run reads an expansion cached by another."""
+    for cache in _CACHES:
+        cache.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            for module in modules if isinstance(modules, tuple) else (modules,):
+                patch.setattr(module, attr, replacement)
+            yield
+    finally:
+        for cache in _CACHES:
+            cache.cache_clear()
+
+
 def timing_free(report) -> dict:
     """The report as JSON without timing, in the form the golden file holds."""
     return json.loads(json.dumps(report.to_json(include_timing=False)))
@@ -213,8 +257,7 @@ def mutation_reports() -> dict:
     """timing_free(run_suite(CFG)) unmutated and under each mutation, by name."""
     reports = {"unmutated": timing_free(run_suite(CFG))}
     for name, module, attr, replacement, _ in MUTATIONS:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(module, attr, replacement)
+        with _mutated(module, attr, replacement):
             reports[name] = timing_free(run_suite(CFG))
     return reports
 

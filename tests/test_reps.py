@@ -414,6 +414,18 @@ class TestVectorBasics:
         with pytest.raises(DimensionError):
             ModuleVector(formal(rank=1, m=1), {(0, 1, 2): 1})
 
+    @pytest.mark.parametrize(
+        "slot",
+        [(1.5, 1, 1), (1, 1.0, 1), (1, 1, 1.0), (Fraction(1), 1, 1), (0, True, 1), ("0", 1, 1)],
+    )
+    def test_non_int_slot_indices_refused(self, slot):
+        # Every stored slot is an int triple: a float k is not truncated to an int.
+        params = formal(Family.V, 1, 2)
+        with pytest.raises(TypeError, match="must be ints"):
+            ModuleVector(params, {slot: 1})
+        with pytest.raises(TypeError, match="must be ints"):
+            ModuleVector.basis(params, *slot)
+
     def test_repr_names_the_params_and_entries(self):
         params = formal(Family.V, 1, 2)
         v = ModuleVector(params, {(1, 1, 2): X + Fraction(1, 2)})
