@@ -17,8 +17,8 @@ row out and visit only the pairs of rows whose matrix slots match; a sparse
 product adds up word pairs (_word_products), a dense one sums each output
 row as one big integer (_dense_products, Kronecker substitution).  The
 power-basis cocycle evaluates each row by Horner's rule at |i| points (the
-Kac-Radul closed form); the falling-basis bracket keeps the per-word weights
-of _psi_weight, read through _words, so the two are independent.
+Kac-Radul closed form); the falling-basis bracket pairs the same rows but
+weighs each pair of their words by _psi_weight, so the two are independent.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class _OperatorSum(RowSum):
     rank = RowSum.ctx
 
     def __init__(self, rank: int, terms: Mapping | Iterable = (), central=0):
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise DimensionError("rank must be a positive integer")
         c = _rational(central)
         if c is None:
@@ -291,17 +291,14 @@ def plain_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def _change_basis(nums: Mapping, convert) -> dict:
-    # The rows in the other basis, each converted once; a one-word row c X^j is c times
-    # X^j, converted once per call.  Both maps keep a row's length and top coefficient.
-    out: dict = {}
-    units: dict = {}
+    # The rows in the other basis, each distinct row converted once per call.  Both maps
+    # keep a row's length and top coefficient, so the result needs no gcd pass.
+    out, done = {}, {}
     for key, row in nums.items():
-        j = len(row) - 1
-        if any(row[:j]):
-            out[key] = tuple(convert(row))
-        else:
-            unit = units.get(j) or units.setdefault(j, convert([0] * j + [1]))
-            out[key] = tuple([row[j] * c for c in unit])
+        new = done.get(row)
+        if new is None:
+            new = done[row] = tuple(convert(row))
+        out[key] = new
     return out
 
 
@@ -335,19 +332,18 @@ def _psi_weight(i: int, j: int, l: int) -> int:
     return b and _psi_parity(j) * math.factorial(j) * math.factorial(l) * b
 
 
-def _psi_total(cells_a, cells_b) -> int:
-    # Sum of ca cb psi over pairs of falling words, each given as ((i, j, p, q), c) by _words.
-    # The words of b are indexed by (k, p', q'), so a word of a meets only
-    # its partners (-i, q, p).
-    partners: dict = {}
-    for (k, l, p, q), c in cells_b:
-        partners.setdefault((k, p, q), []).append((l, c))
+def _psi_total(na: Mapping, nb: Mapping) -> int:
+    # Sum of ca cb psi over pairs of falling words: a row (i, p, q) of a meets only the
+    # row (-i, q, p) of b, and each pair of their nonzero entries weighs _psi_weight(i, j, l).
     total = 0
-    for (i, j, p, q), ca in cells_a:
-        for l, cb in partners.get((-i, q, p), ()):
-            w = _psi_weight(i, j, l)
-            if w:
-                total += ca * cb * w
+    for (i, p, q), fa in na.items():
+        for l, cb in enumerate(nb.get((-i, q, p), ())):
+            if cb:
+                for j, ca in enumerate(fa):
+                    if ca:
+                        w = _psi_weight(i, j, l)
+                        if w:
+                            total += ca * cb * w
     return total
 
 
@@ -414,7 +410,7 @@ def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingEleme
     """
     na, nb = _operands(a, b, FallingElement)
     rows = _word_products(na, nb, True, True)
-    rows[_C] = [_psi_total(_words(na), _words(nb))]
+    rows[_C] = [_psi_total(na, nb)]
     return FallingElement._raw(a.rank, _reduced_rows(rows, a.den * b.den))
 
 

@@ -141,8 +141,8 @@ def _power(base, exponent: int) -> list[int]:
 
 
 def _reduced(nums: list[int], den: int) -> "Poly":
-    # The Poly nums/den in the normal form of _reduced_rows, as one row; zero has den = 1.
-    return Poly._raw(None, _reduced_rows({0: nums}, den))
+    # The Poly nums/den in the normal form of _reduced_rows, as one row; zero is ({}, 1).
+    return Poly._raw(None, _reduced_rows({0: nums}, den) if nums else ({}, 1))
 
 
 def _reduced_rows(rows: Mapping, den: int) -> tuple[dict, int]:

@@ -81,9 +81,9 @@ class ModuleParams(_Record):
 
     def __init__(self, family: Family, rank: int, m: int = 1, param: Poly = Poly.var()):
         self._freeze(family, rank, m, param if type(param) is Poly else Poly.const(param))
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise DimensionError("rank must be a positive integer")
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError("Jordan block size must be positive")
 
     @staticmethod

@@ -377,6 +377,12 @@ class TestElementBasics:
         with pytest.raises(TypeError, match="must be ints"):
             cls.term(2, *word)
 
+    @pytest.mark.parametrize("cls", (AlgebraElement, FallingElement))
+    @pytest.mark.parametrize("rank", (0, "1", 1.0, True))
+    def test_rank_must_be_a_positive_int(self, cls, rank):
+        with pytest.raises(DimensionError):
+            cls(rank, {Monomial(0, 1, 1, 1): 1})
+
     def test_sum_across_ranks_refused(self):
         for combine in (AlgebraElement.__add__, AlgebraElement.__sub__):
             with pytest.raises(DimensionError):
@@ -392,6 +398,9 @@ class TestElementBasics:
             lambda: from_falling(a),
             lambda: sigma(f),
             lambda: act(f, v),
+            lambda: a + 1,
+            lambda: a - f,
+            lambda: v + a,
         ]
         for call in calls:
             with pytest.raises(TypeError):

@@ -29,6 +29,7 @@ from mdop.algebra import (
     to_falling,
 )
 from mdop.exact import _reduced_rows, falling_to_power_coeffs, power_to_falling_coeffs
+from mdop.expr import parse_element
 
 
 def _binom(top, s):
@@ -290,6 +291,51 @@ def test_the_two_cocycle_routes_share_no_weight(monkeypatch):
     fa, fb = to_falling(a), to_falling(b)
     assert bracket_falling_direct(fa, fb).central == expected
     assert len(calls) == 1
+
+
+def test_a_basis_change_converts_each_distinct_row_once(monkeypatch):
+    # FD^60 at rank 16 puts one row on each of the 16 diagonal slots.
+    calls = []
+    for name in ("_falling_row", "_power_row"):
+        convert = getattr(algebra_module, name)
+        monkeypatch.setattr(
+            algebra_module, name, lambda row, convert=convert: calls.append(row) or convert(row)
+        )
+    falling = to_falling(parse_element("FD^60", 16))
+    assert len(calls) == 1 and len(falling.nums) == 16
+    assert from_falling(falling) == parse_element("FD^60", 16)
+    assert len(calls) == 2
+
+
+def test_one_word_rows_of_one_power_convert_apart():
+    # Two one-word rows at one D power with different coefficients.
+    a = parse_element("D^40 + 2 t D^40", 1)
+    parts = [parse_element(text, 1) for text in ("D^40", "2 t D^40")]
+    assert to_falling(a) == to_falling(parts[0]) + to_falling(parts[1])
+    assert from_falling(to_falling(a)) == a
+
+
+def test_falling_cocycle_pairs_rows_as_a_word_sum():
+    # _psi_total reads the row maps; the reference adds ca cb _psi_weight over matching word pairs.
+    rng = random.Random(21)
+    weight, nonzero = algebra_module._psi_weight, 0
+
+    def operand(rank):
+        slots = [(rng.randint(1, rank), rng.randint(1, rank)) for _ in range(rng.randint(1, 10))]
+        terms = {Monomial(rng.randint(-6, 6), rng.randint(0, 12), *s): _coeff(rng) for s in slots}
+        return FallingElement(rank, terms).nums
+
+    for n in range(90):
+        na, nb = operand(1 + n % 3), operand(1 + n % 3)
+        expected = sum(
+            ca * cb * weight(i, j, l)
+            for (i, j, p, q), ca in algebra_module._words(na)
+            for (k, l, p2, q2), cb in algebra_module._words(nb)
+            if (k, p2, q2) == (-i, q, p)
+        )
+        assert algebra_module._psi_total(na, nb) == expected
+        nonzero += expected != 0
+    assert nonzero >= 10
 
 
 # Dense operands multiply row by row: each output row is summed as one big

@@ -277,7 +277,14 @@ class TestModuleParams:
 
     @pytest.mark.parametrize(
         "rank,m,error",
-        [(0, 1, DimensionError), ("1", 1, DimensionError), (1, 0, ValueError), (1, 1.0, ValueError)],
+        [
+            (0, 1, DimensionError),
+            ("1", 1, DimensionError),
+            (True, 1, DimensionError),
+            (1, 0, ValueError),
+            (1, 1.0, ValueError),
+            (1, True, ValueError),
+        ],
     )
     def test_validation(self, rank, m, error):
         with pytest.raises(error):
@@ -319,6 +326,15 @@ class TestWeights:
     def test_rejects_jordan_blocks(self):
         with pytest.raises(ValueError):
             weight_of(formal(Family.V, 1, 2), 0, 1)
+
+    def test_rejects_an_action_that_moves_the_slot(self, monkeypatch):
+        # A generator of grade 0 that shifts the image's slot acts as no scalar.
+        import mdop.reps as reps_module
+        from test_mutations import _act_target_shifted
+
+        monkeypatch.setattr(reps_module, "act", _act_target_shifted)
+        with pytest.raises(ValueError, match="does not act as a scalar"):
+            weight_of(formal(Family.V, 2), 3, 2)
 
 
 class TestExtremalVectors:
