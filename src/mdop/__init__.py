@@ -19,7 +19,7 @@ _EXPORTS = {
     "algebra": """AlgebraElement FallingElement Monomial bracket_falling_direct
         canonical_product central_bracket cocycle_psi degree embed_scalar
         from_falling homogeneous_components plain_bracket sigma to_falling""",
-    "exact": """DimensionError Poly Rational falling_factorial falling_to_power_coeffs
+    "exact": """DimensionError Poly falling_factorial falling_to_power_coeffs
         gen_binomial jordan_shifted_power power_to_falling_coeffs""",
     "expr": """ParseError element_to_json falling_element_to_json format_element
         format_falling_element format_module_vector format_poly module_vector_to_json

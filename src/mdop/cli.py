@@ -4,8 +4,9 @@ One subcommand per kernel operation plus the suite runner.  The five that
 apply a single algebra function come from one table, and every result is
 written as text or JSON by one renderer.  Exit codes:
 0 on success, 1 when a verify run reports any failing check, 2 on parse
-or usage errors, 3 on an internal error.  All diagnostics go to stderr;
-each refusal is one line `error: <message>`.
+or usage errors, 3 on an internal error; the process entry,
+`mdop.__main__.run`, adds 141 for a closed stdout.  All diagnostics go to
+stderr; each refusal is one line `error: <message>`.
 
 A call imports only what its subcommand needs: reps only for act and
 pair, verify only for verify, json only for JSON output.
@@ -102,34 +103,34 @@ _ELEMENT_COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="mdop",
-        description="Exact computations with matrix differential operators on the circle.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _add_element_command(commands, name: str) -> None:
+    help_text, arity, op = _ELEMENT_COMMANDS[name]
+    sub = commands.add_parser(name, help=help_text)
+    _add_common(sub)
+    sub.add_argument("exprs", nargs=arity, metavar="EXPR")
+    sub.set_defaults(func=_cmd_element, op=op)
 
-    for name, (help_text, arity, op) in _ELEMENT_COMMANDS.items():
-        sub = commands.add_parser(name, help=help_text)
-        _add_common(sub)
-        sub.add_argument("exprs", nargs=arity, metavar="EXPR")
-        sub.set_defaults(func=_cmd_element, op=op)
 
-    convert = commands.add_parser("convert", help="change between power and falling bases")
+def _add_convert(commands, name: str) -> None:
+    convert = commands.add_parser(name, help="change between power and falling bases")
     _add_common(convert)
     convert.add_argument("--to", choices=("falling", "power"), required=True)
     convert.add_argument("exprs", nargs=1, metavar="EXPR")
     convert.set_defaults(func=_cmd_convert)
 
-    act = commands.add_parser("act", help="apply an element to a module vector")
+
+def _add_act(commands, name: str) -> None:
+    act = commands.add_parser(name, help="apply an element to a module vector")
     _add_common(act)
     _add_module_flags(act)
     act.add_argument("element", metavar="EXPR")
     act.add_argument("vector", metavar="VECTOR")
     act.set_defaults(func=_cmd_act)
 
+
+def _add_pair(commands, name: str) -> None:
     pair = commands.add_parser(
-        "pair", help="pair a twisted-family vector against its family-V partner"
+        name, help="pair a twisted-family vector against its family-V partner"
     )
     _add_common(pair)
     _add_lambda(pair, "parameter of the twisted side, as for act; the partner carries its negative")
@@ -137,9 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("vector", metavar="V_VECTOR")
     pair.set_defaults(func=_cmd_pair)
 
+
+def _add_verify(commands, name: str) -> None:
     # SuiteConfig holds the defaults of the suite, so a flag not given is left unset.
     ver = commands.add_parser(
-        "verify", help="run the identity verification suite", argument_default=argparse.SUPPRESS
+        name, help="run the identity verification suite", argument_default=argparse.SUPPRESS
     )
     ranks = _capped(_int_list, "rank", expr.MAX_RANK)
     ver.add_argument("--n", type=ranks, dest="ranks", metavar="N1,N2", help="ranks")
@@ -159,6 +162,30 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(func=_cmd_verify)
 
+
+# Every subcommand, in the order --help lists them: name -> the function that adds its parser.
+_SUBCOMMANDS = {
+    **dict.fromkeys(_ELEMENT_COMMANDS, _add_element_command),
+    "convert": _add_convert,
+    "act": _add_act,
+    "pair": _add_pair,
+    "verify": _add_verify,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names one.
+
+    A call names its subcommand first, so it needs only that parser; --help, an
+    empty call and an unknown name get them all, for the listing and the refusal.
+    """
+    parser = _Parser(
+        prog="mdop",
+        description="Exact computations with matrix differential operators on the circle.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        _SUBCOMMANDS[name](commands, name)
     return parser
 
 
@@ -256,7 +283,8 @@ def _cmd_verify(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -20,10 +20,6 @@ from fractions import Fraction
 from itertools import starmap, zip_longest
 from operator import add, neg
 
-# The base scalar type.  Fraction already maintains the canonical form we
-# need: reduced, positive denominator, zero stored as 0/1.
-Rational = Fraction
-
 # Entries kept by each memo cache of the kernel.  The Jordan powers are
 # keyed by the parameter, so acting with ever-new specialized parameters
 # would otherwise grow that cache without limit.

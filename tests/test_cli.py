@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -365,23 +366,90 @@ class TestExitCodes:
         assert run_cli(capsys, "--help")[0] == 0
 
 
-def _run_module(*argv, timeout=None):
+def _run_module(*argv, timeout=None, stdout=subprocess.PIPE, entry=("-m", "mdop")):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "mdop", *argv],
-        capture_output=True,
+        [sys.executable, *entry, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=timeout,
     )
 
 
-def test_module_entry_point():
-    proc = _run_module("bracket", "--n", "1", "D", "t")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "t"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bracket", "--n", "1", "D", "t"),
+        ("bracket", "--n", "1", "t +", "D"),  # refused by the expression parser
+        ("sigma", "--n", "1"),  # refused by argparse
+        ("no-such-command", "t"),
+    ],
+)
+def test_module_entry_point(capsys, argv):
+    proc = _run_module(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [("bracket", "--n", "1", "D", "t"), ("convert", "--n", "1", "--to", "falling", "D^480")]
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # 141 is 128 + SIGPIPE, what a shell reports for a writer whose reader left;
+    # exit 1 would read as a failed verify check.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_module(*argv, stdout=write, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# Runs `mdop <argv>` as `python -m mdop` does, then prints the exit code and
+# the number of objects the collector holds frozen.
+_FREEZE_PROBE = """
+import gc, runpy
+try:
+    runpy.run_module("mdop", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count())
+"""
+
+
+def test_process_entry_freezes_the_heap_after_the_call():
+    proc = _run_module("bracket", "--n", "1", "D", "t", entry=("-c", _FREEZE_PROBE))
+    out, last = proc.stdout.splitlines()
+    code, frozen = map(int, last.split())
+    assert (out, code, proc.stderr) == ("t", 0, "")
+    assert frozen > 0
+
+
+def test_in_process_call_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run_cli(capsys, "bracket", "--n", "1", "D", "t")[0] == 0
+    assert run_cli(capsys, "sigma", "--n", "1")[0] == 2
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def _subcommands(parser) -> list[str]:
+    (commands,) = parser._subparsers._group_actions
+    return list(commands.choices)
+
+
+@pytest.mark.parametrize("name", ["bracket", "convert", "act", "pair", "verify"])
+def test_a_named_subcommand_builds_its_parser_alone(name):
+    assert _subcommands(cli.build_parser(name)) == [name]
+
+
+@pytest.mark.parametrize("command", [None, "--help", "no-such-command"])
+def test_no_subcommand_name_builds_every_parser(command):
+    assert _subcommands(cli.build_parser(command)) == [
+        "bracket", "product", "cocycle", "sigma", "degree", "convert", "act", "pair", "verify"
+    ]
 
 
 @pytest.fixture
