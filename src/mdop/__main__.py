@@ -21,7 +21,7 @@ def run() -> int:
     and writes nothing to stderr.
     """
     try:
-        code = main()
+        code = main(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
         # What is still buffered goes to the null device, so the shutdown flush is quiet.

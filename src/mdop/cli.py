@@ -196,7 +196,7 @@ def _module_params(args, family: str, m: int):
     if args.lam == "formal":
         return ModuleParams.formal(family, args.n, m)
     # Fraction builds 10**e for an exponent e: digit runs and e are held to the digit limit.
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    cap = expr.digit_limit()
     text = args.lam.replace("_", "")
     longest = max(map(len, re.findall(r"\d+", text)), default=0)
     if longest > cap:  # refused like a term literal, and not echoed
@@ -282,8 +282,8 @@ def _cmd_verify(args):
     return verify.run_suite(verify.SuiteConfig(**given))
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def main(argv: list[str]) -> int:
+    """Run one call on argv, the arguments after the program name; return its exit code."""
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
@@ -310,7 +310,3 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(digits)
     print(text)
     return 0 if getattr(value, "passed", True) else 1  # only a verify Report has .passed
-
-
-if __name__ == "__main__":
-    sys.exit(main())

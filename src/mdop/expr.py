@@ -64,6 +64,12 @@ MAX_I_BOUND = 12
 MAX_J_BOUND = 12
 
 
+def digit_limit() -> int:
+    """The most digits an integer read from text may have, in a literal or in
+    --lambda: the interpreter's cap, or CPython's default 4300 where it sets none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 class ParseError(ValueError):
     """Syntax or range error in a surface expression."""
 
@@ -133,12 +139,13 @@ class _TokenStream:
         tok = self.peek()
         if tok.kind != "INT":
             raise ParseError(f"expected {what}", tok.pos)
+        limit = digit_limit()
+        if len(tok.text) > limit:
+            raise ParseError(
+                f"integer literal of {len(tok.text)} digits exceeds the digit limit {limit}", tok.pos
+            )
         self.advance()
-        try:
-            return int(tok.text)
-        except ValueError:  # past the interpreter's digit cap
-            limit = f"{len(tok.text)} digits exceeds the digit limit {sys.get_int_max_str_digits()}"
-            raise ParseError(f"integer literal of {limit}", tok.pos) from None
+        return int(tok.text)
 
     def expect_end(self) -> None:
         tok = self.peek()
@@ -363,22 +370,6 @@ def parse_module_vector(text: str, params: ModuleParams) -> ModuleVector:
         pairs += [(slot, sign * coeff) for slot, coeff in term]
     ts.expect_end()
     return ModuleVector(params, pairs)
-
-
-def parse_expression(text: str, rank: int, params: ModuleParams | None = None):
-    """Parse either an operator expression or a module vector.
-
-    The input is a module vector exactly when it mentions a 'v' atom; in
-    that case params supplies the family, Jordan size, and parameter
-    (defaulting to the generic family-V module with m = 1).
-    """
-    if any(t.kind == "NAME" and t.text == "v" for t in _tokenize(text)):
-        if params is None:
-            from .reps import Family, ModuleParams
-
-            params = ModuleParams.formal(Family.V, rank)
-        return parse_module_vector(text, params)
-    return parse_element(text, rank)
 
 
 # ---------------------------------------------------------------------------

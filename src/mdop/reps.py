@@ -258,11 +258,10 @@ class WeightRecord(_Record):
 
 
 def _eigenvalue(image: ModuleVector, v: ModuleVector) -> Poly:
-    key = min(v.nums)
-    eig = image.entries.get(key, _POLY_ZERO)
-    if image != eig * v:
+    # v is a basis vector, so the scalar is image's entry at v's one slot.
+    if not _is_poly_multiple(image, v):
         raise ValueError("generator does not act as a scalar on this vector")
-    return eig
+    return image.entries.get(min(v.nums), _POLY_ZERO)
 
 
 def weight_of(params: ModuleParams, k: int, r: int) -> WeightRecord:

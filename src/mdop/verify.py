@@ -76,18 +76,17 @@ class Report:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_json(self, include_timing: bool = True) -> dict:
-        checks = []
-        for r in self.results:
-            row = {
+    def to_json(self) -> dict:
+        checks = [
+            {
                 "name": r.name,
                 "samples": r.samples,
                 "passed": r.passed,
                 "counterexample": r.counterexample,
+                "elapsed_s": round(r.elapsed, 6),
             }
-            if include_timing:
-                row["elapsed_s"] = round(r.elapsed, 6)
-            checks.append(row)
+            for r in self.results
+        ]
         config = {}
         for f in fields(SuiteConfig):
             value = getattr(self.config, f.name)

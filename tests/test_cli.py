@@ -509,6 +509,17 @@ class TestCancellingHighWords:
         assert (code, out) == (2, "")
         assert err == f"error: --lambda of {cap + 1} digits exceeds the digit limit {cap}\n"
 
+    def test_without_a_cap_literals_and_lambda_keep_the_limit_4300(self, capsys, all_digits):
+        literal = "9" * 4301
+        code, out, err = run_cli(capsys, "bracket", "--n", "1", "t", f"D + {literal} t")
+        assert (code, out) == (2, "")
+        assert err == "error: integer literal of 4301 digits exceeds the digit limit 4300 (column 5)\n"
+        code, out, err = run_cli(capsys, "act", "--n", "1", f"--lambda={literal}", "t", "v[1,1]")
+        assert (code, out) == (2, "")
+        assert err == "error: --lambda of 4301 digits exceeds the digit limit 4300\n"
+        code, out, err = run_cli(capsys, "bracket", "--n", "1", "D", f"{literal[1:]} t")
+        assert (code, out, err) == (0, f"{literal[1:]} t\n", "")
+
     def test_a_lambda_at_the_digit_cap_is_read(self, capsys):
         lam = "1/" + "9" * sys.get_int_max_str_digits()
         code, out, err = run_cli(capsys, "act", "--n", "1", f"--lambda={lam}", "t", "v[1,1]")

@@ -20,7 +20,6 @@ from mdop.expr import (
     format_poly,
     module_vector_to_json,
     parse_element,
-    parse_expression,
     parse_module_vector,
 )
 from mdop.reps import Family, ModuleParams, ModuleVector
@@ -126,6 +125,31 @@ class TestParseElement:
         finally:
             sys.set_int_max_str_digits(cap)
 
+    def test_literal_past_the_default_limit_without_a_cap(self):
+        # With the interpreter's cap off, every place an integer is read keeps
+        # CPython's default limit of 4300 digits, as --lambda does.
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            big = "7" * 4301
+            params = ModuleParams.formal(Family.V, 1)
+            for text, column, parse in (
+                (f"t + {big} D", 5, lambda t: parse_element(t, 2)),
+                (f"t + 1/{big}", 7, lambda t: parse_element(t, 2)),
+                (f"D t^-{big}", 6, lambda t: parse_element(t, 2)),
+                (f"E[1,{big}]", 5, lambda t: parse_element(t, 2)),
+                (f"({big}a + 1) v[0,1]", 2, lambda t: parse_module_vector(t, params)),
+                (f"v[{big},1]", 3, lambda t: parse_module_vector(t, params)),
+            ):
+                with pytest.raises(ParseError) as info:
+                    parse(text)
+                assert str(info.value) == (
+                    f"integer literal of 4301 digits exceeds the digit limit 4300 (column {column})"
+                )
+            assert parse_element(big[1:], 1) == AlgebraElement.term(1, 0, 0, 1, 1, int(big[1:]))
+        finally:
+            sys.set_int_max_str_digits(cap)
+
     def test_central_cannot_mix(self):
         with pytest.raises(ParseError, match="cannot be combined"):
             parse_element("t C", 1)
@@ -186,10 +210,6 @@ class TestParseVector:
             )
         with pytest.raises(ParseError, match="module-vector atom"):
             parse_module_vector("2", params)
-
-    def test_expression_dispatch(self):
-        assert isinstance(parse_expression("t D", 2), AlgebraElement)
-        assert isinstance(parse_expression("v[0,1]", 2), ModuleVector)
 
 
 class TestRoundTrip:

@@ -1,6 +1,5 @@
 """Verification suite plumbing: determinism, sampling, report shape."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from mdop.verify import (
     sample_monomial,
 )
 from row_store import assert_rows_normal
+from test_mutations import timing_free
 
 SMALL = SuiteConfig(ranks=(1, 2), samples=20, seed=7)
 
@@ -170,8 +170,7 @@ class TestRunSuite:
     def test_reports_are_deterministic(self):
         first = run_suite(SMALL)
         second = run_suite(SMALL)
-        strip = lambda report: json.dumps(report.to_json(include_timing=False))
-        assert strip(first) == strip(second)
+        assert timing_free(first) == timing_free(second)
 
     def test_selection_independent_of_other_checks(self):
         # Per-check seeding: running one check alone or with the rest gives
