@@ -39,7 +39,6 @@ from .exact import (
     _power_row,
     _rational,
     _reduced_rows,
-    _sum_rows,
     gen_binomial,
 )
 
@@ -77,7 +76,8 @@ class _OperatorSum(RowSum):
     terms is a mapping or (word, coefficient) pairs; repeated words add up.
     They are stored as a module vector's are (exact.RowSum): nums, (i, p, q)
     -> int tuple by D power, over den; C is one more row, the constant row of
-    the key _C, which no word has.  .terms and .central read the rows.
+    the key _C, which no word has, and central is read as one more term of
+    that key.  .terms and .central read the rows.
     """
 
     __slots__ = ()
@@ -86,16 +86,13 @@ class _OperatorSum(RowSum):
     def __init__(self, rank: int, terms: Mapping | Iterable = (), central=0):
         if type(rank) is not int or rank < 1:
             raise DimensionError("rank must be a positive integer")
-        c = _rational(central)
-        if c is None:
-            raise TypeError(f"expected an exact scalar, got {type(central).__name__}")
-        row, den = c
-        super().__init__(rank, terms)
-        if row:  # C is one more row, added after the terms
-            self.nums, self.den = _sum_rows(self.nums, self.den, {_C: row}, den, 1)
+        terms = terms.items() if isinstance(terms, Mapping) else terms or ()
+        super().__init__(rank, [*terms, (_C, central)])  # C is one more term, the last
 
     @staticmethod
     def _word(rank: int, mono) -> tuple:
+        if mono is _C:  # by identity: no word a caller writes is C's key
+            return _C, 0
         if not isinstance(mono, Monomial):
             mono = Monomial(*mono)
         if not (type(mono.i) is type(mono.j) is type(mono.p) is type(mono.q) is int):

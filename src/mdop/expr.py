@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import AlgebraElement, FallingElement, Monomial, _words
+from .algebra import _C, AlgebraElement, FallingElement, Monomial, _words
 from .exact import Poly, falling_to_power_coeffs
 
 if TYPE_CHECKING:  # reps is imported where a vector is parsed
@@ -218,7 +218,7 @@ def _parse_matrix_ref(ts: _TokenStream, rank: int) -> tuple[int, int]:
 
 
 def _parse_term(ts: _TokenStream, rank: int):
-    """One additive term as (central coefficient, [(Monomial, coefficient)])."""
+    """One additive term as its (key, coefficient) pairs: Monomials, or C's key _C."""
     start = ts.peek().pos
     coeff = _parse_coefficient(ts)
     i = 0
@@ -228,8 +228,7 @@ def _parse_term(ts: _TokenStream, rank: int):
     is_central = False
     saw_atom = False
     while ts.peek().kind == "NAME":
-        name = ts.peek().text
-        pos = ts.peek().pos
+        _, name, pos = ts.peek()
         if name == "t":
             ts.advance()
             i += _parse_exponent(ts, "t", allow_negative=True)
@@ -253,6 +252,8 @@ def _parse_term(ts: _TokenStream, rank: int):
             raise ParseError(
                 f"unknown atom {name!r} (atoms are t, D, FD, E[p,q], C)", pos
             )
+        if is_central and saw_atom:  # C after an atom, or an atom after C
+            raise ParseError("C cannot be combined with other atoms", pos)
         if j_power + (j_falling or 0) > MAX_D_POWER:
             raise ParseError(f"D power of a term above the limit {MAX_D_POWER}", pos)
         saw_atom = True
@@ -264,26 +265,28 @@ def _parse_term(ts: _TokenStream, rank: int):
             ts.error("expected a coefficient or an atom")
         coeff = Fraction(1)
     if is_central:
-        if i or j_power or j_falling is not None or matrix is not None:
-            ts.error("C cannot be combined with other atoms")
-        return coeff, ()
+        return [(_C, coeff)]
     slots = [matrix] if matrix is not None else [(r, r) for r in range(1, rank + 1)]
     weights = falling_to_power_coeffs(j_falling) if j_falling is not None else (1,)
-    return 0, [
+    return [
         (Monomial(i, j_power + s, p, q), coeff * w)
         for p, q in slots for s, w in enumerate(weights) if w
     ]
 
 
+def _signed_pairs(text: str, parse_term) -> list:
+    """Every (key, coefficient) pair of the terms of text, times its term's sign."""
+    ts = _TokenStream(text)
+    pairs = []
+    for sign, term in _signed_terms(ts, parse_term):
+        pairs += [(key, sign * c) for key, c in term]
+    ts.expect_end()
+    return pairs
+
+
 def parse_element(text: str, rank: int) -> AlgebraElement:
     """Parse an operator expression; FD atoms land in the power basis."""
-    ts = _TokenStream(text)
-    words, central = [], 0
-    for sign, (central_part, term_words) in _signed_terms(ts, lambda ts: _parse_term(ts, rank)):
-        central += sign * central_part
-        words += [(mono, sign * c) for mono, c in term_words]
-    ts.expect_end()
-    return AlgebraElement(rank, words, central)
+    return AlgebraElement(rank, _signed_pairs(text, lambda ts: _parse_term(ts, rank)))
 
 
 def _parse_poly_term(ts: _TokenStream) -> Poly:
@@ -364,12 +367,7 @@ def parse_module_vector(text: str, params: ModuleParams) -> ModuleVector:
     """Parse a module-vector expression against the given parameters."""
     from .reps import ModuleVector  # the only layer a vector needs beyond algebra
 
-    ts = _TokenStream(text)
-    pairs = []
-    for sign, term in _signed_terms(ts, lambda ts: _parse_vector_term(ts, params)):
-        pairs += [(slot, sign * coeff) for slot, coeff in term]
-    ts.expect_end()
-    return ModuleVector(params, pairs)
+    return ModuleVector(params, _signed_pairs(text, lambda ts: _parse_vector_term(ts, params)))
 
 
 # ---------------------------------------------------------------------------

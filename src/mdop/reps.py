@@ -18,7 +18,6 @@ as they are (C's row, of matrix slot 0, meets no slot of a vector), and
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 from itertools import product, starmap
@@ -102,14 +101,11 @@ class ModuleParams(_Record):
 class ModuleVector(RowSum):
     """Finite-support module vector with Poly coefficients, stored as an element is
     (exact.RowSum): nums, (k, r, s) -> int tuple by power of the parameter, over den;
-    .entries builds the Polys on each read.  entries is a mapping or (slot, coefficient)
-    pairs; repeated slots add up."""
+    .entries builds the Polys on each read.  Its constructor is RowSum's, ModuleVector(params,
+    entries), entries a mapping or (slot, coefficient) pairs; repeated slots add up."""
 
     __slots__ = ()
     params = RowSum.ctx
-
-    def __init__(self, params: ModuleParams, entries: Mapping | Iterable = ()):
-        super().__init__(params, entries)
 
     @staticmethod
     def _word(params: ModuleParams, slot) -> tuple:
@@ -145,7 +141,7 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
     with the shifted power acting on the Jordan slot as the m x m matrix
     (param+shift)*id + J raised to the j-th power, J the upper-shift
     nilpotent: it sends Jordan slot s to slot s-d with weight band[d], the
-    band of jordan_shifted_power.  The central coefficient of x acts as zero.
+    band of _jordan_power_cached.  The central coefficient of x acts as zero.
     The sums run on the integer numerators of x and v, each band row over
     param.den ** j_max (j_max the highest D power in x), and the output is
     normalised by one gcd pass.

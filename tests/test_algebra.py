@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdop import exact
 from mdop.algebra import (
     AlgebraElement,
     FallingElement,
@@ -430,6 +431,21 @@ class TestElementBasics:
     def test_no_terms_is_zero(self):
         assert AlgebraElement(2, None) == AlgebraElement(2) == AlgebraElement.zero(2)
         assert AlgebraElement(2, None, 3) == AlgebraElement.central_term(2, 3)
+
+    def test_central_part_is_one_more_term(self, monkeypatch):
+        # C is read by the constructor's one loop, so an element is normalised once.
+        calls = []
+
+        def counted(rows, den):
+            calls.append(den)
+            return original(rows, den)
+
+        original = exact._reduced_rows
+        monkeypatch.setattr(exact, "_reduced_rows", counted)
+        e = AlgebraElement(1, [((0, 1, 1, 1), Fraction(1, 2))], Fraction(1, 3))
+        assert len(calls) == 1
+        assert e.terms == {Monomial(0, 1, 1, 1): Fraction(1, 2)}
+        assert e.central == Fraction(1, 3) and e.den == 6
 
     @pytest.mark.parametrize("cls", (AlgebraElement, FallingElement))
     @pytest.mark.parametrize("bad", (0.1, 0.5, "1/3"))

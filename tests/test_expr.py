@@ -151,8 +151,12 @@ class TestParseElement:
             sys.set_int_max_str_digits(cap)
 
     def test_central_cannot_mix(self):
-        with pytest.raises(ParseError, match="cannot be combined"):
-            parse_element("t C", 1)
+        # Refused at the column of the atom that meets C, a second C included.
+        cases = {"t C": 3, "C C": 3, "2 C*C": 5, "t^0 C": 5, "D^0 C": 5, "C t^0": 3}
+        for text, column in cases.items():
+            with pytest.raises(ParseError, match="cannot be combined") as info:
+                parse_element(text, 1)
+            assert info.value.position == column - 1, text
 
     def test_error_reports_position(self):
         with pytest.raises(ParseError) as info:
