@@ -8,16 +8,19 @@ Grammar (whitespace-insensitive, '*' optional everywhere it appears):
     atom     := 't' ['^' int] | 'D' ['^' nat] | 'FD' ['^' nat]
               | 'E' '[' p ',' q ']' | 'C'
     vector   := ['-'] vterm (('+' | '-') vterm)*
-    vterm    := [poly] 'v' '[' k ',' r [',' s] ']' | zero-valued poly
-    poly     := '(' polysum ')' | [rational] ['a' ['^' nat]]
+    vterm    := factor* 'v' '[' k ',' r [',' s] ']' | zero-valued factor+
+    factor   := '(' polysum ')' | pterm
+    polysum  := ['-'] pterm (('+' | '-') pterm)*
+    pterm    := [rational] ['a' ['^' nat]]  -- a rational or 'a' at least
     rational := int ['/' int]
 
 A term without an E atom means the same word on every diagonal matrix
 slot (the scalar embedding).  FD is the falling power [D]_j and is
 rewritten into the power basis on entry.  C is the central generator and
-cannot be combined with other atoms.  The formal parameter is always
-spelled 'a'.  A vector term with a zero coefficient may omit its slot,
-so the zero vector, printed as 0, parses back.
+cannot be combined with other atoms.  A vterm's coefficient, the product
+of its factors, has degree at most MAX_A_DEGREE in the formal parameter
+'a', read only when the module's parameter is formal; when it is zero,
+the slot may be omitted, so the zero vector, printed as 0, parses back.
 """
 
 from __future__ import annotations
@@ -157,11 +160,9 @@ class _TokenStream:
 
 
 def _parse_signed_int(ts: _TokenStream, what: str) -> int:
-    negative = False
-    if ts.accept_op("-"):
-        negative = True
-    elif ts.accept_op("+"):
-        pass
+    negative = ts.accept_op("-")
+    if not negative:
+        ts.accept_op("+")
     value = ts.expect_int(what)
     return -value if negative else value
 
@@ -356,7 +357,11 @@ def _parse_vector_slot(ts: _TokenStream, params: ModuleParams) -> tuple[int, int
 
 def _parse_vector_term(ts: _TokenStream, params: ModuleParams):
     """One vterm as [(slot, coefficient)], or no pair for a zero without a slot."""
+    first = ts.index
     coeff = _parse_poly_coefficient(ts)
+    uses_a = [tok.pos for tok in ts.tokens[first:ts.index] if tok.text == "a"]
+    if uses_a and params.param.degree < 1:  # a number as the parameter leaves no 'a' to read
+        raise ParseError("'a' is read only when the module parameter is formal", uses_a[0])
     # A zero coefficient may stand without a slot: the zero vector prints as 0.
     if coeff == 0 and ts.peek().kind != "NAME":
         return []

@@ -21,6 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import product, starmap
+from typing import NamedTuple
 
 from . import algebra
 from .algebra import AlgebraElement, Monomial, embed_scalar
@@ -36,24 +37,33 @@ class Family(Enum):
     VBAR = "Vbar"
 
 
-class _Record:
-    """An immutable value compared, hashed and printed by its _fields, as a
-    frozen dataclass is; plain, so that importing reps needs no dataclasses."""
+class ModuleParams:
+    """Which module a vector lives in.
 
-    _fields: tuple[str, ...] = ()
+    param is the module parameter as a polynomial in the formal
+    indeterminate: the indeterminate itself for the generic module, a
+    constant for a specialization, and the negated indeterminate for the
+    pairing partner.  m is the Jordan block size (m = 1 is the plain
+    intermediate-series case).  It is a value of its four fields but no
+    tuple: unlike a NamedTuple, it equals no tuple of them.
+    """
 
-    def _freeze(self, *values) -> None:
-        object.__setattr__(self, "_values", values)
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, family: Family, rank: int, m: int = 1, param: Poly = Poly.var()):
+        param = param if type(param) is Poly else Poly.const(param)
+        # The four fields are the instance dict, which copy and pickle restore as it is.
+        vars(self).update(family=family, rank=rank, m=m, param=param)
+        if type(rank) is not int or rank < 1:
+            raise DimensionError("rank must be a positive integer")
+        if type(m) is not int or m < 1:
+            raise ValueError("Jordan block size must be positive")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values == other._values
+        return vars(self) == vars(other)
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        return hash(tuple(vars(self).values()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -62,28 +72,8 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
-        return f"{type(self).__qualname__}({fields})"
-
-
-class ModuleParams(_Record):
-    """Which module a vector lives in.
-
-    param is the module parameter as a polynomial in the formal
-    indeterminate: the indeterminate itself for the generic module, a
-    constant for a specialization, and the negated indeterminate for the
-    pairing partner.  m is the Jordan block size (m = 1 is the plain
-    intermediate-series case).
-    """
-
-    _fields = ("family", "rank", "m", "param")
-
-    def __init__(self, family: Family, rank: int, m: int = 1, param: Poly = Poly.var()):
-        self._freeze(family, rank, m, param if type(param) is Poly else Poly.const(param))
-        if type(rank) is not int or rank < 1:
-            raise DimensionError("rank must be a positive integer")
-        if type(m) is not int or m < 1:
-            raise ValueError("Jordan block size must be positive")
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"ModuleParams({fields})"
 
     @staticmethod
     def formal(family: Family, rank: int, m: int = 1) -> ModuleParams:
@@ -129,7 +119,7 @@ class ModuleVector(RowSum):
         return {key: _reduced(list(row), self.den) for key, row in self.nums.items()}
 
     def __repr__(self) -> str:
-        return f"ModuleVector(params={self.params!r}, entries={sorted(self.entries.items())!r})"
+        return f"ModuleVector({self.params!r}, {sorted(self.entries.items())!r})"
 
 
 def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
@@ -244,13 +234,12 @@ def pairing(w: ModuleVector, v: ModuleVector) -> Poly:
     return _reduced(total, w.den * v.den)
 
 
-class WeightRecord(_Record):
+class WeightRecord(NamedTuple):
     """Eigenvalues of the commuting generators on one m = 1 basis slot."""
 
-    _fields = ("central", "euler", "diagonal")
-
-    def __init__(self, central: Fraction, euler: Poly, diagonal: tuple[Fraction, ...]):
-        self._freeze(central, euler, diagonal)
+    central: Fraction
+    euler: Poly
+    diagonal: tuple[Fraction, ...]
 
 
 def _eigenvalue(image: ModuleVector, v: ModuleVector) -> Poly:

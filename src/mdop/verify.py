@@ -179,7 +179,8 @@ def sample_module_vector(
     rng: random.Random, params: ModuleParams, i_bound: int
 ) -> ModuleVector:
     """Short random vector; coefficients are degree <= 1 in the parameter,
-    drawn over 6 (the linear one first) and built in normal form."""
+    drawn over 6 (the linear one first) and built in normal form.  A number
+    as the parameter takes the same draws and evaluates each coefficient at it."""
     bits = rng.getrandbits
     nums: dict[tuple[int, int, int], list[int]] = {}
     for _ in range(_below(bits, 3) + 1):
@@ -188,7 +189,11 @@ def sample_module_vector(
         linear = _sample_num(bits) if rng.random() < 0.5 else 0
         c0, c1 = nums.get(key, (0, 0))
         nums[key] = [c0 + _sample_num(bits), c1 + linear]
-    return ModuleVector._raw(params, _reduced_rows(nums, 6))
+    if params.param.degree > 0:
+        return ModuleVector._raw(params, _reduced_rows(nums, 6))
+    n, d = params.param.constant_value().as_integer_ratio()
+    folded = {key: [c0 * d + c1 * n] for key, (c0, c1) in nums.items()}
+    return ModuleVector._raw(params, _reduced_rows(folded, 6 * d))
 
 
 # ---------------------------------------------------------------------------

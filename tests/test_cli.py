@@ -685,6 +685,42 @@ class TestVectorLimits:
         assert (code, out) == (0, "0\n")
 
 
+_FORMAL_ONLY = "'a' is read only when the module parameter is formal"
+
+
+class TestTheFormalParameterUnderANumber:
+    """A number given as --lambda leaves no formal 'a' to read: a coefficient that
+    uses 'a' is refused at the column of its first 'a', in either format."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv,column",
+        [
+            (("pair", "--n", "1", "--lambda=-1/3", "(a)*v[2,1]", "v[-2,1]"), 2),
+            (("pair", "--n", "1", "--lambda=0", "v[2,1]", "v[-2,1] - 1/2 a^2 v[0,1]"), 15),
+            (("pair", "--n", "1", "--lambda=5/2", "(a - a)*v[2,1]", "v[-2,1]"), 2),
+            (("act", "--n", "2", "--m", "2", "--lambda=3/2", "t", "v[0,1,2] + (1 - a)*v[1,2]"), 17),
+            (("act", "--n", "1", "--family", "Vbar", "--lambda=-7", "D", "2 * 3a v[0,1]"), 6),
+        ],
+    )
+    def test_a_coefficient_in_a_is_refused_at_its_column(self, capsys, fmt, argv, column):
+        code, out, err = run_cli(capsys, argv[0], "--format", fmt, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: {_FORMAL_ONLY} (column {column})\n"
+
+    def test_a_syntax_error_before_the_a_is_reported_first(self, capsys):
+        code, out, err = run_cli(capsys, "pair", "--n", "1", "--lambda=1/2", "v[0,1]", "(a v[0,1]")
+        assert (code, out, err) == (2, "", "error: expected ')', found 'v' (column 4)\n")
+
+    def test_a_formal_parameter_reads_a_on_both_sides(self, capsys):
+        argv = ("pair", "--n", "1", "--lambda=formal", "(a)*v[2,1]", "v[-2,1]")
+        assert run_cli(capsys, *argv) == (0, "a\n", "")
+        code, out, _ = run_cli(capsys, "pair", "--n", "1", "(a)*v[2,1]", "a v[-2,1]")
+        assert (code, out) == (0, "a^2\n")
+        code, out, _ = run_cli(capsys, "act", "--n", "1", "--lambda=-1/3", "D", "3/2 v[0,1]")
+        assert (code, out) == (0, "-1/2*v[0,1]\n")
+
+
 def _stirling_first_row(j):
     # Coefficients of x(x-1)...(x-j+1), multiplied out factor by factor.
     poly = [1]

@@ -202,6 +202,24 @@ class TestParseVector:
         with pytest.raises(ParseError, match="Jordan slot"):
             parse_module_vector("v[0,1,2]", params)
 
+    def test_a_is_read_only_under_a_formal_parameter(self):
+        formal = ModuleParams.formal(Family.VBAR, 1)
+        for params in (formal, formal.dual()):
+            assert parse_module_vector("(a + 1) v[0,1]", params) == ModuleVector(
+                params, {(0, 1, 1): X + 1}
+            )
+        for value in (0, Fraction(-1, 3)):
+            special = ModuleParams.specialized(Family.VBAR, 1, 1, value)
+            for params in (special, special.dual()):
+                assert parse_module_vector("2/3 v[0,1]", params) == ModuleVector(
+                    params, {(0, 1, 1): Fraction(2, 3)}
+                )
+                with pytest.raises(ParseError, match="read only when") as info:
+                    parse_module_vector("v[1,1] - (2 + a^2) v[0,1]", params)
+                assert info.value.position == 14
+                with pytest.raises(ParseError, match="read only when"):
+                    parse_module_vector("0 a", params)
+
     def test_zero_vector_round_trip(self):
         for family in (Family.V, Family.VBAR):
             params = ModuleParams.formal(family, 2, 2)

@@ -1,5 +1,7 @@
 """Module families: actions, grading, pairing, weights, extremal vectors."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from mdop.reps import (
     Family,
     ModuleParams,
     ModuleVector,
+    WeightRecord,
     act,
     grade_index,
     is_highest_weight_vector,
@@ -309,6 +312,21 @@ class TestModuleParams:
         with pytest.raises(AttributeError):
             a.central = 1
 
+    def test_weight_record_is_a_named_tuple(self):
+        import mdop.reps as reps_module
+
+        record = weight_of(formal(Family.V, 2), 3, 2)
+        assert isinstance(record, tuple) and record._fields == ("central", "euler", "diagonal")
+        assert record == WeightRecord(*record)
+        assert not hasattr(reps_module, "_Record")
+
+    def test_copy_and_pickle_keep_the_value(self):
+        params = ModuleParams.specialized(Family.VBAR, 2, 3, Fraction(1, 2))
+        for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert twin == params and hash(twin) == hash(params) and repr(twin) == repr(params)
+            with pytest.raises(AttributeError):
+                twin.m = 1
+
 
 class TestWeights:
     def test_family_v_weight(self):
@@ -445,10 +463,11 @@ class TestVectorBasics:
     def test_repr_names_the_params_and_entries(self):
         params = formal(Family.V, 1, 2)
         v = ModuleVector(params, {(1, 1, 2): X + Fraction(1, 2)})
-        assert repr(v) == (
-            f"ModuleVector(params={params!r}, entries=[((1, 1, 2), {X + Fraction(1, 2)!r})])"
-        )
+        assert repr(v) == f"ModuleVector({params!r}, [((1, 1, 2), {X + Fraction(1, 2)!r})])"
         assert repr(X + Fraction(1, 2)) == "Poly((Fraction(1, 2), Fraction(1, 1)))"
+        # The repr is a call of the constructor; only the Family member does not evaluate.
+        names = {"ModuleVector": ModuleVector, "Poly": Poly, "Fraction": Fraction, "params": params}
+        assert eval(repr(v).replace(repr(params), "params"), names) == v
 
     def test_scalar_multiplication_by_poly(self):
         v = ModuleVector.basis(formal(), 0, 1)

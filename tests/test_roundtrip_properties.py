@@ -64,16 +64,18 @@ def module_params(draw):
 
 
 @st.composite
-def slot_pairs(draw, params, min_size=0):
+def slot_pairs(draw, params, min_size=0, coeffs=polys):
     slot = st.tuples(shifts, st.integers(1, params.rank), st.integers(1, params.m))
     pool = draw(st.lists(slot, min_size=1, max_size=4))
-    return draw(st.lists(st.tuples(st.sampled_from(pool), polys), min_size=min_size, max_size=6))
+    return draw(st.lists(st.tuples(st.sampled_from(pool), coeffs), min_size=min_size, max_size=6))
 
 
 @st.composite
 def vectors(draw):
+    # The text form reads 'a' only under a formal parameter, so a number gets constants.
     params = draw(module_params())
-    return ModuleVector(params, draw(slot_pairs(params)))
+    coeffs = polys if params.param.degree > 0 else rationals
+    return ModuleVector(params, draw(slot_pairs(params, coeffs=coeffs)))
 
 
 def summed(pairs, zero):

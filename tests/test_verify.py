@@ -70,6 +70,20 @@ class TestSampling:
         assert [expr.format_module_vector(v) for v in drawn] == vectors
         assert rng.getrandbits(32) == next_bits
 
+    @pytest.mark.parametrize("value", [Fraction(-1, 3), Fraction(5, 2), 0, 3])
+    def test_a_number_as_parameter_folds_the_formal_draw(self, value):
+        # Same draws, each coefficient evaluated at the number: constants only.
+        for seed in range(100):
+            rng_f, rng_s = random.Random(seed), random.Random(seed)
+            formal = sample_module_vector(rng_f, ModuleParams.formal(Family.VBAR, 2, 2), 3)
+            params = ModuleParams.specialized(Family.VBAR, 2, 2, value)
+            special = sample_module_vector(rng_s, params, 3)
+            folded = {key: c(value) for key, c in formal.entries.items()}
+            assert special == ModuleVector(params, folded)
+            assert all(c.degree == 0 for c in special.entries.values())
+            assert_rows_normal(special.nums, special.den)
+            assert rng_s.getstate() == rng_f.getstate()
+
     def test_vector_draws_are_in_normal_form(self):
         rng = random.Random(3)
         params = ModuleParams.formal(Family.VBAR, 2, 2)
