@@ -239,8 +239,20 @@ def _render(value, as_json: bool) -> str:
     return json.dumps(out)
 
 
+def _operand(name: str | None, parse, text: str, context):
+    """parse(text, context); a ParseError from it, when named, opens with the operand's metavar."""
+    try:
+        return parse(text, context)
+    except expr.ParseError as exc:
+        if name:
+            exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def _elements(args) -> list[AlgebraElement]:
-    return [expr.parse_element(text, args.n) for text in args.exprs]
+    # Two operands share the metavar EXPR, so a refusal names one by its 1-based position.
+    names = ("EXPR 1", "EXPR 2") if len(args.exprs) == 2 else (None,)
+    return [_operand(name, expr.parse_element, t, args.n) for name, t in zip(names, args.exprs)]
 
 
 def _cmd_element(args):
@@ -257,8 +269,8 @@ def _cmd_act(args):
     from . import reps
 
     params = _module_params(args, args.family, args.m)
-    x = expr.parse_element(args.element, args.n)
-    v = expr.parse_module_vector(args.vector, params)
+    x = _operand("EXPR", expr.parse_element, args.element, args.n)
+    v = _operand("VECTOR", expr.parse_module_vector, args.vector, params)
     return reps.act(x, v)
 
 
@@ -266,8 +278,8 @@ def _cmd_pair(args) -> Poly:
     from . import reps
 
     params_w = _module_params(args, "Vbar", 1)
-    w = expr.parse_module_vector(args.twisted, params_w)
-    v = expr.parse_module_vector(args.vector, params_w.dual())
+    w = _operand("VBAR_VECTOR", expr.parse_module_vector, args.twisted, params_w)
+    v = _operand("V_VECTOR", expr.parse_module_vector, args.vector, params_w.dual())
     return reps.pairing(w, v)
 
 

@@ -87,25 +87,21 @@ class Token(NamedTuple):
     pos: int
 
 
-_TOKEN_RE = re.compile(r"(?P<INT>\d+)|(?P<NAME>[A-Za-z]+)|(?P<OP>[-+*/^,\[\]()])")
+# Whitespace, then a token; BAD is a character that starts no token.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<INT>\d+)|(?P<NAME>[A-Za-z]+)|(?P<OP>[-+*/^,\[\]()])|(?P<BAD>\S))"
+)
 
 
 def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens = []
+    # Trailing whitespace is left out: a match tried in it scans to the end, at each character.
+    for match in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
         kind = match.lastgroup
-        tokens.append(Token(kind, match.group(), pos))
-        pos = match.end()
-    tokens.append(Token("END", "", length))
-    return tokens
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {match[kind]!r}", match.start(kind))
+        tokens.append(Token(kind, match[kind], match.start(kind)))
+    return tokens + [Token("END", "", len(text))]
 
 
 class _TokenStream:
@@ -122,13 +118,10 @@ class _TokenStream:
             self.index += 1
         return tok
 
-    def at_op(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text == ch
-
     def accept_op(self, ch: str) -> bool:
-        if self.at_op(ch):
-            self.advance()
+        tok = self.peek()
+        if tok.kind == "OP" and tok.text == ch:
+            self.index += 1
             return True
         return False
 
@@ -230,29 +223,21 @@ def _parse_term(ts: _TokenStream, rank: int):
     saw_atom = False
     while ts.peek().kind == "NAME":
         _, name, pos = ts.peek()
+        if name not in ("t", "D", "FD", "E", "C"):
+            raise ParseError(f"unknown atom {name!r} (atoms are t, D, FD, E[p,q], C)", pos)
+        if (name == "FD" and j_falling is not None) or (name == "E" and matrix is not None):
+            raise ParseError(f"at most one {name} atom per term", pos)
+        ts.advance()
         if name == "t":
-            ts.advance()
             i += _parse_exponent(ts, "t", allow_negative=True)
         elif name == "D":
-            ts.advance()
             j_power += _parse_exponent(ts, "D", allow_negative=False)
         elif name == "FD":
-            if j_falling is not None:
-                raise ParseError("at most one FD atom per term", pos)
-            ts.advance()
             j_falling = _parse_exponent(ts, "FD", allow_negative=False)
         elif name == "E":
-            if matrix is not None:
-                raise ParseError("at most one E atom per term", pos)
-            ts.advance()
             matrix = _parse_matrix_ref(ts, rank)
-        elif name == "C":
-            ts.advance()
-            is_central = True
         else:
-            raise ParseError(
-                f"unknown atom {name!r} (atoms are t, D, FD, E[p,q], C)", pos
-            )
+            is_central = True
         if is_central and saw_atom:  # C after an atom, or an atom after C
             raise ParseError("C cannot be combined with other atoms", pos)
         if j_power + (j_falling or 0) > MAX_D_POWER:

@@ -281,20 +281,32 @@ class TestExitCodes:
         [
             (("bracket", "--n", "0", "t", "D"), "rank must be a positive integer"),
             (("act", "--n", "0", "t", "v[0,1]"), "rank must be a positive integer"),
+            # A single operand, and a refusal that is no parse error, name no operand.
+            (("sigma", "--n", "1", "t +"), "expected a coefficient or an atom (column 4)"),
+            (
+                ("act", "--n", "1", "--lambda", "x", "t +", "v[0,1]"),
+                "--lambda must be a rational or 'formal', got 'x'",
+            ),
             (
                 ("verify", "--n", "1,x", "--list-checks"),
                 "argument --n: expected a comma-separated integer list, got '1,x'",
             ),
             (
                 ("bracket", "--n", "2", "E[1,3]", "D"),
-                "matrix index 3 out of range for rank 2 (column 5)",
+                "EXPR 1: matrix index 3 out of range for rank 2 (column 5)",
             ),
-            (("bracket", "--n", "1", "FD FD", "D"), "at most one FD atom per term (column 4)"),
+            (
+                ("bracket", "--n", "1", "FD FD", "D"),
+                "EXPR 1: at most one FD atom per term (column 4)",
+            ),
             (
                 ("bracket", "--n", "2", "E[1,1] E[1,2]", "D"),
-                "at most one E atom per term (column 8)",
+                "EXPR 1: at most one E atom per term (column 8)",
             ),
-            (("act", "--n", "1", "t", "(a+)v[0,1]"), "expected a coefficient or 'a' (column 4)"),
+            (
+                ("act", "--n", "1", "t", "(a+)v[0,1]"),
+                "VECTOR: expected a coefficient or 'a' (column 4)",
+            ),
             # A size flag's reader keeps argparse's wording for a malformed int.
             (("bracket", "--n", "x", "t", "D"), "argument --n: invalid int value: 'x'"),
             (("act", "--m", "2.0", "t", "v[0,1]"), "argument --m: invalid int value: '2.0'"),
@@ -314,15 +326,16 @@ class TestExitCodes:
         monkeypatch.setattr(expr, "falling_to_power_coeffs", reached)
         for name in ("canonical_product", "central_bracket", "to_falling"):
             monkeypatch.setattr(algebra, name, reached)
-        for argv in (
-            ("product", "--n", "1", "D^20000", "t^7"),
-            ("bracket", "--n", "1", "t", "FD^20000"),
-            ("convert", "--n", "1", "--to", "falling", "D^20000"),
-            ("convert", "--n", "1", "--to", "power", "FD^20000"),
+        for argv, operand in (
+            (("product", "--n", "1", "D^20000", "t^7"), "EXPR 1: "),
+            (("bracket", "--n", "1", "t", "FD^20000"), "EXPR 2: "),
+            (("convert", "--n", "1", "--to", "falling", "D^20000"), ""),
+            (("convert", "--n", "1", "--to", "power", "FD^20000"), ""),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
-            assert err.startswith(f"error: D power of a term above the limit {expr.MAX_D_POWER}")
+            limit = f"D power of a term above the limit {expr.MAX_D_POWER}"
+            assert err.startswith(f"error: {operand}{limit}")
             assert err.count("\n") == 1
 
     def test_t_power_above_limit_is_refused_before_kernel_work(self, capsys, monkeypatch):
@@ -332,16 +345,19 @@ class TestExitCodes:
         for name in ("cocycle_psi", "central_bracket"):
             monkeypatch.setattr(algebra, name, reached)
         top = expr.MAX_T_POWER
-        for argv in (
-            ("cocycle", "--n", "1", "--", f"t^-{top + 1} D^1200", f"t^{top + 1} D^1200"),
-            ("bracket", "--n", "1", "--", "D", f"t^{top} t"),
-            ("bracket", "--n", "1", "--", "t^-99999999999", "t"),
+        for argv, operand in (
+            (
+                ("cocycle", "--n", "1", "--", f"t^-{top + 1} D^1200", f"t^{top + 1} D^1200"),
+                "EXPR 1",
+            ),
+            (("bracket", "--n", "1", "--", "D", f"t^{top} t"), "EXPR 2"),
+            (("bracket", "--n", "1", "--", "t^-99999999999", "t"), "EXPR 1"),
         ):
             start = time.perf_counter()
             code, out, err = run_cli(capsys, *argv)
             assert time.perf_counter() - start < 1
             assert (code, out) == (2, "")
-            assert err.startswith(f"error: t power of a term above the limit {top}")
+            assert err.startswith(f"error: {operand}: t power of a term above the limit {top}")
             assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--n", "--m"])
@@ -496,7 +512,8 @@ class TestCancellingHighWords:
         code, out, err = run_cli(capsys, "bracket", "--n", "1", "t", f"D + {literal} t")
         assert (code, out) == (2, "")
         assert err == (
-            f"error: integer literal of {cap + 1} digits exceeds the digit limit {cap} (column 5)\n"
+            f"error: EXPR 2: integer literal of {cap + 1} digits exceeds the digit limit {cap} "
+            "(column 5)\n"
         )
         assert "sys." not in err
 
@@ -513,7 +530,8 @@ class TestCancellingHighWords:
         literal = "9" * 4301
         code, out, err = run_cli(capsys, "bracket", "--n", "1", "t", f"D + {literal} t")
         assert (code, out) == (2, "")
-        assert err == "error: integer literal of 4301 digits exceeds the digit limit 4300 (column 5)\n"
+        literal_refusal = "integer literal of 4301 digits exceeds the digit limit 4300 (column 5)"
+        assert err == f"error: EXPR 2: {literal_refusal}\n"
         code, out, err = run_cli(capsys, "act", "--n", "1", f"--lambda={literal}", "t", "v[1,1]")
         assert (code, out) == (2, "")
         assert err == "error: --lambda of 4301 digits exceeds the digit limit 4300\n"
@@ -661,14 +679,14 @@ class TestVectorLimits:
         for name in ("act", "pairing"):
             monkeypatch.setattr(reps, name, reached)
         if command == "act":
-            argv = ("act", "--n", "1", "D^1200", vector)
+            argv, operand = ("act", "--n", "1", "D^1200", vector), "VECTOR"
         else:
-            argv = ("pair", "--n", "1", vector, "v[-3,1]")
+            argv, operand = ("pair", "--n", "1", vector, "v[-3,1]"), "VBAR_VECTOR"
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == f"error: {what} above the limit {top} (column {column})\n"
+        assert err == f"error: {operand}: {what} above the limit {top} (column {column})\n"
 
     def test_the_limits_themselves_are_accepted(self, capsys):
         dense = "*".join(["(a+1)"] * _DEG)
@@ -690,27 +708,40 @@ _FORMAL_ONLY = "'a' is read only when the module parameter is formal"
 
 class TestTheFormalParameterUnderANumber:
     """A number given as --lambda leaves no formal 'a' to read: a coefficient that
-    uses 'a' is refused at the column of its first 'a', in either format."""
+    uses 'a' is refused at the column of its first 'a', in either format, after the
+    name of the operand it is in."""
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
-        "argv,column",
+        "argv,operand,column",
         [
-            (("pair", "--n", "1", "--lambda=-1/3", "(a)*v[2,1]", "v[-2,1]"), 2),
-            (("pair", "--n", "1", "--lambda=0", "v[2,1]", "v[-2,1] - 1/2 a^2 v[0,1]"), 15),
-            (("pair", "--n", "1", "--lambda=5/2", "(a - a)*v[2,1]", "v[-2,1]"), 2),
-            (("act", "--n", "2", "--m", "2", "--lambda=3/2", "t", "v[0,1,2] + (1 - a)*v[1,2]"), 17),
-            (("act", "--n", "1", "--family", "Vbar", "--lambda=-7", "D", "2 * 3a v[0,1]"), 6),
+            (("pair", "--n", "1", "--lambda=-1/3", "(a)*v[2,1]", "v[-2,1]"), "VBAR_VECTOR", 2),
+            (
+                ("pair", "--n", "1", "--lambda=0", "v[2,1]", "v[-2,1] - 1/2 a^2 v[0,1]"),
+                "V_VECTOR",
+                15,
+            ),
+            (("pair", "--n", "1", "--lambda=5/2", "(a - a)*v[2,1]", "v[-2,1]"), "VBAR_VECTOR", 2),
+            (
+                ("act", "--n", "2", "--m", "2", "--lambda=3/2", "t", "v[0,1,2] + (1 - a)*v[1,2]"),
+                "VECTOR",
+                17,
+            ),
+            (
+                ("act", "--n", "1", "--family", "Vbar", "--lambda=-7", "D", "2 * 3a v[0,1]"),
+                "VECTOR",
+                6,
+            ),
         ],
     )
-    def test_a_coefficient_in_a_is_refused_at_its_column(self, capsys, fmt, argv, column):
+    def test_a_coefficient_in_a_is_refused_at_its_column(self, capsys, fmt, argv, operand, column):
         code, out, err = run_cli(capsys, argv[0], "--format", fmt, *argv[1:])
         assert (code, out) == (2, "")
-        assert err == f"error: {_FORMAL_ONLY} (column {column})\n"
+        assert err == f"error: {operand}: {_FORMAL_ONLY} (column {column})\n"
 
     def test_a_syntax_error_before_the_a_is_reported_first(self, capsys):
         code, out, err = run_cli(capsys, "pair", "--n", "1", "--lambda=1/2", "v[0,1]", "(a v[0,1]")
-        assert (code, out, err) == (2, "", "error: expected ')', found 'v' (column 4)\n")
+        assert (code, out, err) == (2, "", "error: V_VECTOR: expected ')', found 'v' (column 4)\n")
 
     def test_a_formal_parameter_reads_a_on_both_sides(self, capsys):
         argv = ("pair", "--n", "1", "--lambda=formal", "(a)*v[2,1]", "v[-2,1]")
@@ -719,6 +750,51 @@ class TestTheFormalParameterUnderANumber:
         assert (code, out) == (0, "a^2\n")
         code, out, _ = run_cli(capsys, "act", "--n", "1", "--lambda=-1/3", "D", "3/2 v[0,1]")
         assert (code, out) == (0, "-1/2*v[0,1]\n")
+
+
+# Each two-operand command: the metavars of its operands as --help shows them, where a
+# repeated one carries its 1-based position, and two operands it accepts.
+_TWO_OPERANDS = {
+    "bracket": (("EXPR 1", "EXPR 2"), ("t", "D")),
+    "product": (("EXPR 1", "EXPR 2"), ("t", "D")),
+    "cocycle": (("EXPR 1", "EXPR 2"), ("t", "D")),
+    "act": (("EXPR", "VECTOR"), ("t", "v[0,1]")),
+    "pair": (("VBAR_VECTOR", "V_VECTOR"), ("v[0,1]", "v[0,1]")),
+}
+# What a stray X after each accepted operand is refused with.
+_STRAY_X = {
+    "t X": "unknown atom 'X' (atoms are t, D, FD, E[p,q], C) (column 3)",
+    "D X": "unknown atom 'X' (atoms are t, D, FD, E[p,q], C) (column 3)",
+    "v[0,1] X": "expected '+', '-' or end of input, found 'X' (column 8)",
+}
+
+
+class TestARefusalNamesItsOperand:
+    """In a two-operand command a parse refusal opens with the metavar of the operand
+    it is in, and where the metavar repeats, with its 1-based position."""
+
+    def test_the_two_operands_of_bracket_are_told_apart(self, capsys):
+        first = run_cli(capsys, "bracket", "--n", "1", "t +", "D")
+        second = run_cli(capsys, "bracket", "--n", "1", "D", "t +")
+        assert first == (2, "", "error: EXPR 1: expected a coefficient or an atom (column 4)\n")
+        assert second == (2, "", "error: EXPR 2: expected a coefficient or an atom (column 4)\n")
+
+    @pytest.mark.parametrize("command", sorted(_TWO_OPERANDS))
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_each_operand_is_named(self, capsys, command, position):
+        names, operands = _TWO_OPERANDS[command]
+        operands = list(operands)
+        operands[position] += " X"
+        code, out, err = run_cli(capsys, command, "--n", "1", *operands)
+        assert (code, out) == (2, "")
+        assert err == f"error: {names[position]}: {_STRAY_X[operands[position]]}\n"
+
+    @pytest.mark.parametrize("command", sorted(_TWO_OPERANDS))
+    def test_the_names_are_the_metavars_of_help(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        usage = " ".join(out.split())  # one line, however argparse wraps it
+        metavars = " ".join(name.split()[0] for name in _TWO_OPERANDS[command][0])
+        assert code == 0 and f"] {metavars} " in usage
 
 
 def _stirling_first_row(j):
