@@ -23,9 +23,7 @@ _EXPORTS = {
     "expr": """ParseError element_to_json falling_element_to_json format_element
         format_falling_element format_module_vector format_poly module_vector_to_json
         parse_element parse_module_vector poly_to_json""",
-    "reps": """Family ModuleParams ModuleVector WeightRecord act grade_index
-        is_highest_weight_vector is_lowest_weight_vector pairing residue_slice
-        slot_of_grade weight_of""",
+    "reps": "Family ModuleParams ModuleVector act grade_index pairing slot_of_grade",
     "verify": """CheckResult Report SuiteConfig available_checks run_suite sample_element
         sample_falling_element sample_module_vector sample_monomial""",
 }

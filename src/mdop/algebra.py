@@ -109,10 +109,6 @@ class _OperatorSum(RowSum):
     def term(cls, rank: int, i: int, j: int, p: int, q: int, coeff=1):
         return cls(rank, ((Monomial(i, j, p, q), coeff),))
 
-    @classmethod
-    def central_term(cls, rank: int, coeff=1):
-        return cls(rank, {}, coeff)
-
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         new, den = tuple.__new__, self.den

@@ -33,24 +33,26 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> tuple[int, ...]:
     # argparse prefixes a refusal here with the flag ("argument --n: ..."),
-    # so nonpositive ranks and Jordan sizes are refused in the user's terms.
+    # so a malformed list is refused in the user's terms.
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
     return values
 
 
-def _capped(kind, what: str, top: int):
-    # A reader of a size flag by kind, int or _int_list, that refuses a value above top as
-    # argparse reads it, so the refusal names the flag: "argument --n: rank above ...".
+def _capped(kind, what: str, low: int, top: int):
+    # A reader of a size flag by kind, int or _int_list, that refuses a value outside
+    # [low, top] as argparse reads it, so the refusal names the flag: "argument --n: rank
+    # below 1", "argument --m: Jordan block size above the limit 16".
     def read(text: str):
         value = kind(text)
-        if max(value if isinstance(value, tuple) else (value,)) > top:
+        values = value if isinstance(value, tuple) else (value,)
+        if min(values) < low:
+            raise argparse.ArgumentTypeError(f"{what} below {low}")
+        if max(values) > top:
             raise argparse.ArgumentTypeError(f"{what} above the limit {top}")
         return value
 
@@ -66,7 +68,7 @@ def _name_list(text: str) -> tuple[str, ...]:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    rank = _capped(int, "rank", expr.MAX_RANK)
+    rank = _capped(int, "rank", 1, expr.MAX_RANK)
     sub.add_argument("--n", type=rank, default=1, metavar="N", help="matrix rank (default 1)")
     sub.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -77,7 +79,7 @@ def _add_module_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--family", choices=("V", "Vbar"), default="V", help="module family (default V)"
     )
-    jordan = _capped(int, "Jordan block size", expr.MAX_JORDAN)
+    jordan = _capped(int, "Jordan block size", 1, expr.MAX_JORDAN)
     sub.add_argument("--m", type=jordan, default=1, help="Jordan block size (default 1)")
     _add_lambda(sub, "module parameter: a rational like 3/2, or 'formal' (default)")
 
@@ -144,14 +146,14 @@ def _add_verify(commands, name: str) -> None:
     ver = commands.add_parser(
         name, help="run the identity verification suite", argument_default=argparse.SUPPRESS
     )
-    ranks = _capped(_int_list, "rank", expr.MAX_RANK)
+    ranks = _capped(_int_list, "rank", 1, expr.MAX_RANK)
     ver.add_argument("--n", type=ranks, dest="ranks", metavar="N1,N2", help="ranks")
-    sizes = _capped(_int_list, "Jordan block size", expr.MAX_JORDAN)
+    sizes = _capped(_int_list, "Jordan block size", 1, expr.MAX_JORDAN)
     ver.add_argument("--m", type=sizes, dest="m_values", metavar="M1,M2", help="Jordan sizes")
     ver.add_argument("--samples", type=int)
     ver.add_argument("--seed", type=int)
-    ver.add_argument("--i-bound", type=_capped(int, "t power bound", expr.MAX_I_BOUND))
-    ver.add_argument("--j-bound", type=_capped(int, "D power bound", expr.MAX_J_BOUND))
+    ver.add_argument("--i-bound", type=_capped(int, "t power bound", 0, expr.MAX_I_BOUND))
+    ver.add_argument("--j-bound", type=_capped(int, "D power bound", 0, expr.MAX_J_BOUND))
     ver.add_argument(
         "--checks",
         type=_name_list,

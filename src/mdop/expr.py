@@ -89,7 +89,7 @@ class Token(NamedTuple):
 
 # Whitespace, then a token; BAD is a character that starts no token.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<INT>\d+)|(?P<NAME>[A-Za-z]+)|(?P<OP>[-+*/^,\[\]()])|(?P<BAD>\S))"
+    r"\s*(?:(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z]+)|(?P<OP>[-+*/^,\[\]()])|(?P<BAD>\S))"
 )
 
 

@@ -19,17 +19,11 @@ as they are (C's row, of matrix slot 0, meets no slot of a vector), and
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
-from itertools import product, starmap
-from typing import NamedTuple
 
 from . import algebra
-from .algebra import AlgebraElement, Monomial, embed_scalar
 from .exact import (
     DimensionError, Poly, RowSum, _jordan_power_cached, _mul_add, _reduced, _reduced_rows
 )
-
-_POLY_ZERO = Poly(())
 
 
 class Family(Enum):
@@ -122,7 +116,7 @@ class ModuleVector(RowSum):
         return f"ModuleVector({self.params!r}, {sorted(self.entries.items())!r})"
 
 
-def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
+def act(x: algebra.AlgebraElement, v: ModuleVector) -> ModuleVector:
     """Apply an operator to a module vector.
 
     Family V:    (t^i D^j E[p,q]) v[k,q] = (param+k)^j v[i+k,p]
@@ -136,7 +130,7 @@ def act(x: AlgebraElement, v: ModuleVector) -> ModuleVector:
     param.den ** j_max (j_max the highest D power in x), and the output is
     normalised by one gcd pass.
     """
-    if not isinstance(x, AlgebraElement):
+    if not isinstance(x, algebra.AlgebraElement):
         raise TypeError("operators act through AlgebraElement values")
     params = v.params
     if x.rank != params.rank:
@@ -196,20 +190,6 @@ def slot_of_grade(params: ModuleParams, grade: int) -> tuple[int, int]:
     return k, n - rem
 
 
-def residue_slice(v: ModuleVector, m0: int) -> ModuleVector:
-    """Entries whose grade is congruent to m0 modulo the rank."""
-    n = v.params.rank
-    if not (0 <= m0 < n):
-        raise ValueError(f"residue class {m0} out of range for rank {n}")
-    kept = {
-        key: row
-        for key, row in v.nums.items()
-        if grade_index(v.params, key[0], key[1]) % n == m0
-    }
-    # The kept numerators alone may share a factor with den: renormalise.
-    return ModuleVector._raw(v.params, _reduced_rows(kept, v.den))
-
-
 def pairing(w: ModuleVector, v: ModuleVector) -> Poly:
     """Contravariant bilinear pairing of a Vbar vector against a V vector.
 
@@ -232,87 +212,3 @@ def pairing(w: ModuleVector, v: ModuleVector) -> Poly:
             total.extend([0] * (len(cw) + len(cv) - 1 - len(total)))
             _mul_add(total, cw, cv)
     return _reduced(total, w.den * v.den)
-
-
-class WeightRecord(NamedTuple):
-    """Eigenvalues of the commuting generators on one m = 1 basis slot."""
-
-    central: Fraction
-    euler: Poly
-    diagonal: tuple[Fraction, ...]
-
-
-def _eigenvalue(image: ModuleVector, v: ModuleVector) -> Poly:
-    # v is a basis vector, so the scalar is image's entry at v's one slot.
-    if not _is_poly_multiple(image, v):
-        raise ValueError("generator does not act as a scalar on this vector")
-    return image.entries.get(min(v.nums), _POLY_ZERO)
-
-
-def weight_of(params: ModuleParams, k: int, r: int) -> WeightRecord:
-    """Weight of the basis slot (k, r), computed by acting with C, D, E[p,p].
-
-    The eigenvalues are extracted from the actual action rather than from
-    closed forms, so this doubles as a consistency check of act.
-    """
-    if params.m != 1:
-        raise ValueError("weights are defined on the m = 1 basis only")
-    v = ModuleVector.basis(params, k, r)
-    n = params.rank
-    central = _eigenvalue(act(AlgebraElement.central_term(n), v), v).constant_value()
-    euler = _eigenvalue(act(embed_scalar(0, 1, n), v), v)
-    diagonal = tuple(
-        _eigenvalue(act(AlgebraElement.term(n, 0, 0, p, p), v), v).constant_value()
-        for p in range(1, n + 1)
-    )
-    return WeightRecord(central, euler, diagonal)
-
-
-def _is_poly_multiple(image: ModuleVector, v: ModuleVector) -> bool:
-    # image = c * v for some scalar c in the fraction field, checked by
-    # cross-multiplication with the entries at one slot, so no division is needed.
-    if not image:
-        return True
-    ref = min(v.nums)
-    return image * v.entries[ref] == v * image.entries.get(ref, _POLY_ZERO)
-
-
-def _generator_box(rank: int, i_bound: int, j_bound: int):
-    """Yield (grade, word) for every t^i D^j E[p,q] with |i| <= i_bound and
-    0 <= j <= j_bound, the grade read from algebra.degree on each call."""
-    slots = range(1, rank + 1)
-    box = product(range(-i_bound, i_bound + 1), range(j_bound + 1), slots, slots)
-    for mono in starmap(Monomial, box):
-        yield algebra.degree(mono, rank), mono
-
-
-def _bounded_extremal_test(v: ModuleVector, j_bound: int, i_bound: int, direction: int) -> bool:
-    if not v:
-        raise ValueError("the zero vector is not a weight vector")
-    n = v.params.rank
-    for d, mono in _generator_box(n, i_bound, j_bound):
-        if d * direction < 0:
-            continue
-        image = act(AlgebraElement.term(n, *mono), v)
-        # Every generator applied must scale v, and one of nonzero grade kill it.
-        if (d and image) or not _is_poly_multiple(image, v):
-            return False
-    return True
-
-
-def is_highest_weight_vector(v: ModuleVector, j_bound: int, i_bound: int) -> bool:
-    """Bounded test of the highest-weight condition.
-
-    Every generator t^i D^j E[p,q] with |i| <= i_bound, j <= j_bound and
-    grade >= 0 is applied: grade-0 generators must scale v (a Poly multiple
-    is allowed when the parameter is formal) and positive-grade generators
-    must annihilate it.  This is a finite proxy for the unbounded condition;
-    the positive part of the algebra is generated from such a box by
-    repeated brackets with t.
-    """
-    return _bounded_extremal_test(v, j_bound, i_bound, +1)
-
-
-def is_lowest_weight_vector(v: ModuleVector, j_bound: int, i_bound: int) -> bool:
-    """Bounded test of the lowest-weight condition (negative grades kill v)."""
-    return _bounded_extremal_test(v, j_bound, i_bound, -1)

@@ -447,9 +447,11 @@ def _module_grading(cfg, rng, params):
 def _extremal_boxes(n):
     """The formal rank-n family-V module and the box generators of each sign."""
     positive, negative = [], []
-    for d, mono in reps._generator_box(n, _EXTREMAL_I_BOUND, _EXTREMAL_J_BOUND):
+    i_range, slots = range(-_EXTREMAL_I_BOUND, _EXTREMAL_I_BOUND + 1), range(1, n + 1)
+    for word in iter_product(i_range, range(_EXTREMAL_J_BOUND + 1), slots, slots):
+        d = algebra.degree(Monomial(*word), n)  # looked up per call: a patched degree is seen
         if d:
-            (positive if d > 0 else negative).append(AlgebraElement.term(n, *mono))
+            (positive if d > 0 else negative).append(AlgebraElement.term(n, *word))
     return ModuleParams.formal(Family.V, n), positive, negative
 
 

@@ -198,7 +198,7 @@ class TestCentralBracket:
 
     def test_central_generator_is_central(self):
         rng = random.Random(41)
-        c = AlgebraElement.central_term(2, Fraction(5, 3))
+        c = AlgebraElement(2, (), Fraction(5, 3))
         for _ in range(20):
             x = sample_element(rng, 2, 3, 3, allow_central=True)
             assert not central_bracket(c, x)
@@ -258,7 +258,7 @@ class TestGradation:
         assert degree(Monomial(4, 0, 1, 1), 3) == 12
 
     def test_central_sits_in_degree_zero(self):
-        c = AlgebraElement.central_term(2)
+        c = AlgebraElement(2, (), 1)
         comps = homogeneous_components(c)
         assert list(comps) == [0]
         assert comps[0].central == 1
@@ -313,7 +313,7 @@ class TestSigma:
 
     def test_rejects_central_part(self):
         with pytest.raises(ValueError):
-            sigma(AlgebraElement.central_term(1))
+            sigma(AlgebraElement(1, (), 1))
 
 
 class TestEmbedScalar:
@@ -430,7 +430,7 @@ class TestElementBasics:
 
     def test_no_terms_is_zero(self):
         assert AlgebraElement(2, None) == AlgebraElement(2) == AlgebraElement.zero(2)
-        assert AlgebraElement(2, None, 3) == AlgebraElement.central_term(2, 3)
+        assert AlgebraElement(2, None, 3) == AlgebraElement(2, (), 3)
 
     def test_central_part_is_one_more_term(self, monkeypatch):
         # C is read by the constructor's one loop, so an element is normalised once.

@@ -446,8 +446,8 @@ def test_central_parts_change_neither_the_dense_route_nor_the_products(monkeypat
         algebra_module, "_dense_products", lambda *args: calls.append(args) or dense(*args)
     )
     for a, b in [*_dense_pairs(rng), threshold]:
-        ca = a + AlgebraElement.central_term(a.rank, Fraction(5, 7))
-        cb = b + AlgebraElement.central_term(b.rank, -3)
+        ca = a + AlgebraElement(a.rank, (), Fraction(5, 7))
+        cb = b + AlgebraElement(b.rank, (), -3)
         for op in (canonical_product, plain_bracket):
             plain = op(a, b)
             assert op(ca, cb) == op(ca, b) == op(a, cb) == plain and not plain.central

@@ -279,8 +279,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("bracket", "--n", "0", "t", "D"), "rank must be a positive integer"),
-            (("act", "--n", "0", "t", "v[0,1]"), "rank must be a positive integer"),
+            (("bracket", "--n", "0", "t", "D"), "argument --n: rank below 1"),
+            (("act", "--n", "0", "t", "v[0,1]"), "argument --n: rank below 1"),
             # A single operand, and a refusal that is no parse error, name no operand.
             (("sigma", "--n", "1", "t +"), "expected a coefficient or an atom (column 4)"),
             (
@@ -312,6 +312,15 @@ class TestExitCodes:
             (("act", "--m", "2.0", "t", "v[0,1]"), "argument --m: invalid int value: '2.0'"),
             (("verify", "--i-bound", "1.5"), "argument --i-bound: invalid int value: '1.5'"),
             (("verify", "--j-bound", ""), "argument --j-bound: invalid int value: ''"),
+            # A size flag refuses its lower end as it is read, with the flag named.
+            (("act", "--m=0", "t", "v[0,1]"), "argument --m: Jordan block size below 1"),
+            (("bracket", "--n=-2", "t", "D"), "argument --n: rank below 1"),
+            (("verify", "--i-bound=-1"), "argument --i-bound: t power bound below 0"),
+            (("verify", "--j-bound=-3"), "argument --j-bound: D power bound below 0"),
+            # The grammar's digits are 0-9; another script's digit is no number.
+            (("sigma", "--n", "1", "٣ t^١٢"), "unexpected character '٣' (column 1)"),
+            (("bracket", "--n", "1", "D", "t^५"), "EXPR 2: unexpected character '५' (column 3)"),
+            (("degree", "--n", "1", "１ D"), "unexpected character '１' (column 1)"),
         ],
     )
     def test_refusal_is_its_one_line(self, capsys, argv, message):
@@ -365,7 +374,8 @@ class TestExitCodes:
     def test_verify_refusal_names_the_flag(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "verify", flag, value)
         assert (code, out) == (2, "")
-        assert err == f"error: argument {flag}: expected positive integers, got {value!r}\n"
+        what = {"--n": "rank", "--m": "Jordan block size"}[flag]
+        assert err == f"error: argument {flag}: {what} below 1\n"
 
     def test_internal_error_is_three(self, capsys, monkeypatch):
         # A fault of the program is neither a refusal (2) nor a failed check (1).

@@ -1,4 +1,4 @@
-"""Module families: actions, grading, pairing, weights, extremal vectors."""
+"""Module families: actions, grading, pairing."""
 
 import copy
 import pickle
@@ -13,15 +13,10 @@ from mdop.reps import (
     Family,
     ModuleParams,
     ModuleVector,
-    WeightRecord,
     act,
     grade_index,
-    is_highest_weight_vector,
-    is_lowest_weight_vector,
     pairing,
-    residue_slice,
     slot_of_grade,
-    weight_of,
 )
 from mdop.verify import sample_element, sample_module_vector
 
@@ -73,7 +68,7 @@ class TestAct:
         params = formal(Family.V, 2, 2)
         rng = random.Random(9)
         v = sample_module_vector(rng, params, 3)
-        c = AlgebraElement.central_term(2, Fraction(7, 2))
+        c = AlgebraElement(2, (), Fraction(7, 2))
         assert not act(c, v)
 
     def test_rank_mismatch(self):
@@ -178,35 +173,6 @@ class TestGradeIndex:
             grade_index(formal(rank=2), 0, 3)
 
 
-class TestResidueSlice:
-    def test_own_class_is_identity(self):
-        params = formal(Family.V, 2)
-        v = ModuleVector.basis(params, 0, 2)  # grade 1
-        assert residue_slice(v, 1) == v
-
-    def test_other_class_is_zero(self):
-        params = formal(Family.V, 2)
-        v = ModuleVector.basis(params, 0, 2)
-        assert not residue_slice(v, 0)
-
-    def test_slices_partition(self):
-        rng = random.Random(79)
-        params = formal(Family.VBAR, 3)
-        for _ in range(30):
-            v = sample_module_vector(rng, params, 4)
-            total = ModuleVector.zero(params)
-            for m0 in range(3):
-                total = total + residue_slice(v, m0)
-            assert total == v
-
-    def test_range_validation(self):
-        v = ModuleVector.basis(formal(rank=2), 0, 1)
-        with pytest.raises(ValueError):
-            residue_slice(v, 2)
-        with pytest.raises(ValueError):
-            residue_slice(v, -1)
-
-
 class TestPairing:
     def test_defining_values(self):
         params_w = formal(Family.VBAR, 1)
@@ -305,137 +271,12 @@ class TestModuleParams:
         with pytest.raises(TypeError):
             ModuleParams(Family.V, 1, 1, param)
 
-    def test_weight_record_is_a_value(self):
-        a, b = weight_of(formal(Family.V, 2), 3, 2), weight_of(formal(Family.V, 2), 3, 2)
-        assert a == b and hash(a) == hash(b)
-        assert a != weight_of(formal(Family.V, 2), 3, 1)
-        with pytest.raises(AttributeError):
-            a.central = 1
-
-    def test_weight_record_is_a_named_tuple(self):
-        import mdop.reps as reps_module
-
-        record = weight_of(formal(Family.V, 2), 3, 2)
-        assert isinstance(record, tuple) and record._fields == ("central", "euler", "diagonal")
-        assert record == WeightRecord(*record)
-        assert not hasattr(reps_module, "_Record")
-
     def test_copy_and_pickle_keep_the_value(self):
         params = ModuleParams.specialized(Family.VBAR, 2, 3, Fraction(1, 2))
         for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
             assert twin == params and hash(twin) == hash(params) and repr(twin) == repr(params)
             with pytest.raises(AttributeError):
                 twin.m = 1
-
-
-class TestWeights:
-    def test_family_v_weight(self):
-        record = weight_of(formal(Family.V, 2), 3, 2)
-        assert record.central == 0
-        assert record.euler == X + 3
-        assert record.diagonal == (0, 1)
-
-    def test_twisted_family_weight(self):
-        record = weight_of(formal(Family.VBAR, 2), 1, 1)
-        assert record.central == 0
-        assert record.euler == X + 1
-        assert record.diagonal == (-1, 0)
-
-    def test_rejects_jordan_blocks(self):
-        with pytest.raises(ValueError):
-            weight_of(formal(Family.V, 1, 2), 0, 1)
-
-    def test_rejects_an_action_that_moves_the_slot(self, monkeypatch):
-        # A generator of grade 0 that shifts the image's slot acts as no scalar.
-        import mdop.reps as reps_module
-        from test_mutations import _act_target_shifted
-
-        monkeypatch.setattr(reps_module, "act", _act_target_shifted)
-        with pytest.raises(ValueError, match="does not act as a scalar"):
-            weight_of(formal(Family.V, 2), 3, 2)
-
-
-class TestExtremalVectors:
-    def test_generic_basis_vector_is_not_extremal(self):
-        v = ModuleVector.basis(formal(Family.V, 1), 0, 1)
-        assert not is_highest_weight_vector(v, 2, 2)
-        assert not is_lowest_weight_vector(v, 2, 2)
-
-    def test_trivial_action_gives_extremal(self, monkeypatch):
-        # A module on which every generator acts as zero has only extremal
-        # vectors; simulate the trivial action through the act entry point.
-        import mdop.reps as reps_module
-
-        params = formal(Family.V, 2)
-        v = ModuleVector.basis(params, 0, 1)
-        monkeypatch.setattr(
-            reps_module, "act", lambda x, vec: ModuleVector.zero(vec.params)
-        )
-        assert reps_module.is_highest_weight_vector(v, 2, 2)
-        assert reps_module.is_lowest_weight_vector(v, 2, 2)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            is_highest_weight_vector(ModuleVector.zero(formal()), 1, 1)
-
-    @staticmethod
-    def _full_scan(v, j_bound, i_bound, direction):
-        # Every generator of the box is applied, whatever its grade: one of
-        # grade 0 must keep the basis vector's slot, one of grade with the
-        # sign of direction must kill it.
-        n = v.params.rank
-        for i in range(-i_bound, i_bound + 1):
-            for j in range(j_bound + 1):
-                for p in range(1, n + 1):
-                    for q in range(1, n + 1):
-                        d = i * n + p - q
-                        image = act(AlgebraElement.term(n, i, j, p, q), v)
-                        if d == 0 and set(image.entries) - set(v.entries):
-                            return False
-                        if d * direction > 0 and image:
-                            return False
-        return True
-
-    @pytest.mark.parametrize("family", list(Family))
-    @pytest.mark.parametrize("rank", [1, 2])
-    @pytest.mark.parametrize("lam", [None, 0, Fraction(3, 2)])
-    @pytest.mark.parametrize("i_bound,j_bound", [(0, 2), (2, 2)])
-    def test_verdicts_match_full_scan_and_skip_the_wrong_sign(
-        self, monkeypatch, family, rank, lam, i_bound, j_bound
-    ):
-        import mdop.algebra as algebra_module
-        import mdop.reps as reps_module
-
-        if lam is None:
-            params = ModuleParams.formal(family, rank)
-        else:
-            params = ModuleParams.specialized(family, rank, 1, lam)
-        cases = [
-            ModuleVector.basis(params, k, r) for k in range(-2, 3) for r in range(1, rank + 1)
-        ]
-        expected = [
-            [self._full_scan(v, j_bound, i_bound, sign) for sign in (1, -1)] for v in cases
-        ]
-        grades = []
-
-        def recording_act(x, vec):
-            grades.extend(algebra_module.degree(m, x.rank) for m in x.terms)
-            return act(x, vec)
-
-        monkeypatch.setattr(reps_module, "act", recording_act)
-        for v, want in zip(cases, expected):
-            grades.clear()
-            assert reps_module.is_highest_weight_vector(v, j_bound, i_bound) == want[0]
-            assert min(grades) >= 0
-            grades.clear()
-            assert reps_module.is_lowest_weight_vector(v, j_bound, i_bound) == want[1]
-            assert max(grades) <= 0
-
-    def test_multi_entry_eigenvector_detection(self):
-        # v[0,1] + v[0,2] is scaled by the identity but separated by E[1,1].
-        params = formal(Family.V, 2)
-        v = ModuleVector(params, {(0, 1, 1): 1, (0, 2, 1): 1})
-        assert not is_highest_weight_vector(v, 1, 1)
 
 
 class TestVectorBasics:

@@ -2,7 +2,8 @@
 
 _reference_tokenize is the loop mdop.expr._tokenize ran before it became one
 regex pass: skip each whitespace character, match a token at the next one,
-and refuse a character that starts no token.  On every string both must give
+and refuse a character that starts no token (a digit is an ASCII digit, as
+in the grammar, so '٣' is refused too).  On every string both must give
 the same tokens, or refuse with the same message at the same position.
 """
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdop.expr import ParseError, Token, _tokenize
 
-_REFERENCE_TOKEN_RE = re.compile(r"(?P<INT>\d+)|(?P<NAME>[A-Za-z]+)|(?P<OP>[-+*/^,\[\]()])")
+_REFERENCE_TOKEN_RE = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z]+)|(?P<OP>[-+*/^,\[\]()])")
 
 
 def _reference_tokenize(text: str) -> list[Token]:

@@ -14,9 +14,7 @@ from mdop.reps import (
     ModuleParams,
     ModuleVector,
     act,
-    grade_index,
     pairing,
-    residue_slice,
 )
 from mdop.verify import sample_element
 from row_store import assert_rows_normal
@@ -100,26 +98,7 @@ def test_arithmetic_agrees_with_the_poly_reference(seed):
                     key: c * scalar for key, c in a.entries.items() if c * scalar
                 }
                 assert_normal(got)
-            for m0 in range(params.rank):
-                kept = residue_slice(a, m0)
-                assert_normal(kept)
-                assert kept.entries == {
-                    (k, r, s): c
-                    for (k, r, s), c in a.entries.items()
-                    if grade_index(params, k, r) % params.rank == m0
-                }
-            slices = [residue_slice(a, m0) for m0 in range(params.rank)]
-            assert sum(slices[1:], slices[0]) == a
             assert parse_module_vector(format_module_vector(a), params) == a
-
-
-def test_a_residue_slice_renormalises():
-    # 1/2 v[0,1] + 1/3 v[0,2] is stored over 6; the class of v[0,1] alone is 3/6 = 1/2.
-    params = ModuleParams.formal(Family.V, 2)
-    v = ModuleVector(params, {(0, 1, 1): Fraction(1, 2), (0, 2, 1): Fraction(1, 3)})
-    assert (v.nums, v.den) == ({(0, 1, 1): (3,), (0, 2, 1): (2,)}, 6)
-    kept = residue_slice(v, 0)
-    assert (kept.nums, kept.den) == ({(0, 1, 1): (1,)}, 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
