@@ -593,22 +593,20 @@ class TestLambdaExponent:
 
 class TestRankLimit:
     TOP = expr.MAX_RANK
+    COMMANDS = [
+        ("bracket", "t", "D"),
+        ("product", "t", "D"),
+        ("cocycle", "t", "t^-1"),
+        ("sigma", "t"),
+        ("degree", "t"),
+        ("convert", "--to", "falling", "D"),
+        ("act", "t", "v[0,1]"),
+        ("pair", "v[0,1]", "v[0,1]"),
+        ("verify",),
+        ("verify", "--list-checks"),
+    ]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("bracket", "t", "D"),
-            ("product", "t", "D"),
-            ("cocycle", "t", "t^-1"),
-            ("sigma", "t"),
-            ("degree", "t"),
-            ("convert", "--to", "falling", "D"),
-            ("act", "t", "v[0,1]"),
-            ("pair", "v[0,1]", "v[0,1]"),
-            ("verify",),
-            ("verify", "--list-checks"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", COMMANDS)
     def test_a_rank_above_the_limit_is_refused(self, capsys, argv):
         ranks = f"1,{self.TOP + 1}" if argv[0] == "verify" else str(self.TOP + 1)
         start = time.perf_counter()
@@ -616,6 +614,13 @@ class TestRankLimit:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == f"error: argument --n: rank above the limit {self.TOP}\n"
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_a_rank_below_one_is_refused(self, capsys, argv):
+        ranks = "1,0" if argv[0] == "verify" else "0"
+        code, out, err = run_cli(capsys, argv[0], f"--n={ranks}", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: argument --n: rank below 1\n"
 
     def test_the_limit_itself_is_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "cocycle", "--n", str(self.TOP), "t", "t^-1")
@@ -641,6 +646,31 @@ class TestSizeLimits:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == f"error: argument {flag}: {what} above the limit {top}\n"
+
+    # (argv with the value below the low end in place of {}, flag, what, low end)
+    LOW_CASES = [
+        (("verify", "--i-bound", "{}"), "--i-bound", "t power bound", 0),
+        (("verify", "--j-bound", "{}"), "--j-bound", "D power bound", 0),
+        (("verify", "--m", "1,{}"), "--m", "Jordan block size", 1),
+        (("act", "--m", "{}", "t", "v[0,1]"), "--m", "Jordan block size", 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,flag,what,low", LOW_CASES, ids=[c[0][0] + c[1] for c in LOW_CASES]
+    )
+    def test_a_size_below_its_low_end_is_refused(self, capsys, argv, flag, what, low):
+        argv = [a.format(low - 1) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: argument {flag}: {what} below {low}\n"
+
+    def test_the_low_ends_themselves_are_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--i-bound", "0", "--j-bound", "0", "--m", "1", "--list-checks"
+        )
+        assert code == 0 and out.split() == list(available_checks())
+        code, out, _ = run_cli(capsys, "act", "--m", "1", "t", "v[0,1]")
+        assert (code, out) == (0, "v[1,1]\n")
 
     def test_the_limits_themselves_are_accepted(self, capsys):
         top_i, top_j, top_m = expr.MAX_I_BOUND, expr.MAX_J_BOUND, expr.MAX_JORDAN

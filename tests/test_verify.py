@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from mdop import algebra as algebra_module
 from mdop import expr
+from mdop import reps as reps_module
 from mdop.algebra import AlgebraElement, FallingElement, Monomial
 from mdop.exact import Poly
-from mdop.reps import Family, ModuleParams, ModuleVector
+from mdop.reps import Family, ModuleParams, ModuleVector, act
 from mdop.verify import (
     SuiteConfig,
+    _extremal_boxes,
     _sample_coeff,
     available_checks,
     run_suite,
@@ -264,3 +267,64 @@ class TestConfigValidation:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             SuiteConfig(i_bound=-1)
+
+
+class TestExtremalBoxes:
+    # The box of no_hw_lw: t^i D^j E[p,q] with |i| <= 2 and j <= 2, split by the sign of
+    # the grade i*n + p - q; generators of grade 0 are in neither half.
+    @staticmethod
+    def _full_scan(n, degree):
+        positive, negative = [], []
+        slots = range(1, n + 1)
+        for i in range(-2, 3):
+            for j in range(3):
+                for p in slots:
+                    for q in slots:
+                        d = degree(Monomial(i, j, p, q), n)
+                        if d:
+                            term = AlgebraElement.term(n, i, j, p, q)
+                            (positive if d > 0 else negative).append(term)
+        return positive, negative
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_box_splits_the_full_scan_by_grade_sign(self, n):
+        params, positive, negative = _extremal_boxes(n)
+        assert params == ModuleParams.formal(Family.V, n)
+        want = self._full_scan(n, lambda m, rank: m.i * rank + m.p - m.q)
+        assert (positive, negative) == want
+        assert len(positive) == len(negative) == 3 * (2 * n * n + n * (n - 1) // 2)
+
+    def test_box_reads_the_degree_at_call_time(self, monkeypatch):
+        # The degree_mutated mutation reaches no_hw_lw only through this lookup.
+        mutated = lambda m, rank: m.i * rank + m.p + m.q  # noqa: E731
+        monkeypatch.setattr(algebra_module, "degree", mutated)
+        _, positive, negative = _extremal_boxes(2)
+        assert (positive, negative) == self._full_scan(2, mutated)
+        monkeypatch.undo()
+        assert _extremal_boxes(2)[1] != positive
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+    def test_no_homogeneous_vector_is_extremal(self, n, k):
+        # With a formal parameter both halves of the box reach every basis vector.
+        params, positive, negative = _extremal_boxes(n)
+        for r in range(1, n + 1):
+            for c in (1, Fraction(-3, 2)):
+                v = ModuleVector(params, [((k, r, 1), c)])
+                assert any(act(g, v) for g in positive)
+                assert any(act(g, v) for g in negative)
+
+    @pytest.mark.parametrize(
+        "killed,side", [(lambda d: True, "positive"), (lambda d: d < 0, "negative")]
+    )
+    def test_an_annihilated_vector_names_its_side(self, monkeypatch, killed, side):
+        def act_killing(x, v):
+            (mono,) = x.terms
+            if killed(algebra_module.degree(mono, x.rank)):
+                return ModuleVector.zero(v.params)
+            return act(x, v)
+
+        monkeypatch.setattr(reps_module, "act", act_killing)
+        (row,) = run_suite(SuiteConfig(ranks=(1,), samples=5, checks=("no_hw_lw",))).results
+        assert (row.passed, row.samples) == (False, 1)
+        assert row.counterexample.endswith(f"annihilated by the {side} box")
