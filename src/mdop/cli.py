@@ -15,7 +15,6 @@ pair, verify only for verify, json only for JSON output.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from fractions import Fraction
 
@@ -31,32 +30,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    # argparse prefixes a refusal here with the flag ("argument --n: ..."),
-    # so a malformed list is refused in the user's terms.
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
-
-
-def _capped(kind, what: str, low: int, top: int):
-    # A reader of a size flag by kind, int or _int_list, that refuses a value outside
-    # [low, top] as argparse reads it, so the refusal names the flag: "argument --n: rank
-    # below 1", "argument --m: Jordan block size above the limit 16".
+def _capped(what: str, low: int, top: int, many: bool = False):
+    # A reader of an int flag by expr.parse_number, or with many of a comma-separated list,
+    # that refuses a value outside [low, top] as argparse reads it, so the refusal names
+    # the flag: "argument --n: rank below 1", "argument --m: Jordan block size above the
+    # limit 16".  A ParseError reaches argparse, which prints "invalid int value".
     def read(text: str):
-        value = kind(text)
-        values = value if isinstance(value, tuple) else (value,)
+        values = tuple(map(expr.parse_number, text.split(",") if many else [text]))
         if min(values) < low:
             raise argparse.ArgumentTypeError(f"{what} below {low}")
         if max(values) > top:
             raise argparse.ArgumentTypeError(f"{what} above the limit {top}")
-        return value
+        return values if many else values[0]
 
-    read.__name__ = kind.__name__  # argparse names malformed input by it: "invalid int value"
+    read.__name__ = "int"  # argparse names malformed input by it
     return read
 
 
@@ -68,7 +55,7 @@ def _name_list(text: str) -> tuple[str, ...]:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    rank = _capped(int, "rank", 1, expr.MAX_RANK)
+    rank = _capped("rank", 1, expr.MAX_RANK)
     sub.add_argument("--n", type=rank, default=1, metavar="N", help="matrix rank (default 1)")
     sub.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -79,7 +66,7 @@ def _add_module_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--family", choices=("V", "Vbar"), default="V", help="module family (default V)"
     )
-    jordan = _capped(int, "Jordan block size", 1, expr.MAX_JORDAN)
+    jordan = _capped("Jordan block size", 1, expr.MAX_JORDAN)
     sub.add_argument("--m", type=jordan, default=1, help="Jordan block size (default 1)")
     _add_lambda(sub, "module parameter: a rational like 3/2, or 'formal' (default)")
 
@@ -146,14 +133,14 @@ def _add_verify(commands, name: str) -> None:
     ver = commands.add_parser(
         name, help="run the identity verification suite", argument_default=argparse.SUPPRESS
     )
-    ranks = _capped(_int_list, "rank", 1, expr.MAX_RANK)
+    ranks = _capped("rank", 1, expr.MAX_RANK, many=True)
     ver.add_argument("--n", type=ranks, dest="ranks", metavar="N1,N2", help="ranks")
-    sizes = _capped(_int_list, "Jordan block size", 1, expr.MAX_JORDAN)
+    sizes = _capped("Jordan block size", 1, expr.MAX_JORDAN, many=True)
     ver.add_argument("--m", type=sizes, dest="m_values", metavar="M1,M2", help="Jordan sizes")
-    ver.add_argument("--samples", type=int)
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--i-bound", type=_capped(int, "t power bound", 0, expr.MAX_I_BOUND))
-    ver.add_argument("--j-bound", type=_capped(int, "D power bound", 0, expr.MAX_J_BOUND))
+    ver.add_argument("--samples", type=_capped("sample count", 1, expr.MAX_SAMPLES))
+    ver.add_argument("--seed", type=_capped("seed", 0, 2**64 - 1))
+    ver.add_argument("--i-bound", type=_capped("t power bound", 0, expr.MAX_I_BOUND))
+    ver.add_argument("--j-bound", type=_capped("D power bound", 0, expr.MAX_J_BOUND))
     ver.add_argument(
         "--checks",
         type=_name_list,
@@ -197,19 +184,10 @@ def _module_params(args, family: str, m: int):
     family = Family(family)
     if args.lam == "formal":
         return ModuleParams.formal(family, args.n, m)
-    # Fraction builds 10**e for an exponent e: digit runs and e are held to the digit limit.
-    cap = expr.digit_limit()
-    text = args.lam.replace("_", "")
-    longest = max(map(len, re.findall(r"\d+", text)), default=0)
-    if longest > cap:  # refused like a term literal, and not echoed
-        raise ValueError(f"--lambda of {longest} digits exceeds the digit limit {cap}")
-    exponent = re.search(r"e[-+]?(\d+)\s*$", text, re.IGNORECASE)
-    if exponent and int(exponent[1]) > cap:
-        raise ValueError(f"--lambda exponent exceeds the digit limit {cap}")
     try:
-        value = Fraction(args.lam)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--lambda must be a rational or 'formal', got {args.lam!r}")
+        value = expr.parse_number(args.lam, rational=True)
+    except expr.ParseError as exc:  # a flag has no column, and its value is not echoed
+        raise ValueError(f"--lambda: {exc.message}") from None
     return ModuleParams(family, args.n, m, Poly.const(value))
 
 

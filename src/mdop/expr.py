@@ -58,26 +58,28 @@ MAX_T_POWER = 1200
 # and a t power move along the same grading.
 MAX_A_DEGREE = 16
 
-# The largest Jordan block size (act's --m, every entry of verify's --m) and
-# verify's largest --i-bound and --j-bound.  vector_field_bracket walks
-# (2 i + 1)^2 word pairs and associativity multiplies D powers up to j;
-# README "Resource limits" gives the cost at the limits.
+# The largest Jordan block size (act's --m, every entry of verify's --m),
+# verify's largest --i-bound and --j-bound, and its most --samples, the draws
+# of every randomized check.  vector_field_bracket walks (2 i + 1)^2 word pairs
+# and associativity multiplies D powers up to j; README "Resource limits" gives
+# the cost at the limits.
 MAX_JORDAN = 16
 MAX_I_BOUND = 12
 MAX_J_BOUND = 12
+MAX_SAMPLES = 1000
 
 
 def digit_limit() -> int:
-    """The most digits an integer read from text may have, in a literal or in
-    --lambda: the interpreter's cap, or CPython's default 4300 where it sets none."""
+    """The most digits an integer read from text may have, in a literal or in a
+    flag: the interpreter's cap, or CPython's default 4300 where it sets none."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 class ParseError(ValueError):
-    """Syntax or range error in a surface expression."""
+    """Syntax or range error in a surface expression: its message, then its column."""
 
     def __init__(self, message: str, position: int):
-        self.position = position
+        self.message, self.position = message, position
         super().__init__(f"{message} (column {position + 1})")
 
 
@@ -160,18 +162,35 @@ def _parse_signed_int(ts: _TokenStream, what: str) -> int:
     return -value if negative else value
 
 
+def _parse_denominator(ts: _TokenStream) -> int:
+    """The int after a rational's '/', or 1 where no '/' follows."""
+    if not ts.accept_op("/"):
+        return 1
+    pos = ts.peek().pos
+    den = ts.expect_int("a denominator")
+    if den == 0:
+        raise ParseError("zero denominator", pos)
+    return den
+
+
 def _parse_coefficient(ts: _TokenStream) -> Fraction | None:
     """The optional rational that opens a term, with the '*' after it."""
     if ts.peek().kind != "INT":
         return None
-    num, den = ts.expect_int(), 1
-    if ts.accept_op("/"):
-        pos = ts.peek().pos
-        den = ts.expect_int("a denominator")
-        if den == 0:
-            raise ParseError("zero denominator", pos)
+    value = Fraction(ts.expect_int(), _parse_denominator(ts))
     ts.accept_op("*")
-    return Fraction(num, den)
+    return value
+
+
+def parse_number(text: str, rational: bool = False) -> int | Fraction:
+    """A number alone, as the CLI reads each one it takes: ['-'|'+'] int, or with rational
+    ['-'|'+'] int ['/' int] as a Fraction, in a term's digits under the digit limit."""
+    ts = _TokenStream(text)
+    value = _parse_signed_int(ts, "a rational" if rational else "an integer")
+    den = _parse_denominator(ts) if rational else 1
+    if ts.peek().kind != "END":  # not echoed: a flag's value may be long
+        ts.error("expected end of input")
+    return Fraction(value, den) if rational else value
 
 
 def _signed_terms(ts: _TokenStream, parse_term):

@@ -283,14 +283,8 @@ class TestExitCodes:
             (("act", "--n", "0", "t", "v[0,1]"), "argument --n: rank below 1"),
             # A single operand, and a refusal that is no parse error, name no operand.
             (("sigma", "--n", "1", "t +"), "expected a coefficient or an atom (column 4)"),
-            (
-                ("act", "--n", "1", "--lambda", "x", "t +", "v[0,1]"),
-                "--lambda must be a rational or 'formal', got 'x'",
-            ),
-            (
-                ("verify", "--n", "1,x", "--list-checks"),
-                "argument --n: expected a comma-separated integer list, got '1,x'",
-            ),
+            (("act", "--n", "1", "--lambda", "x", "t +", "v[0,1]"), "--lambda: expected a rational"),
+            (("verify", "--n", "1,x", "--list-checks"), "argument --n: invalid int value: '1,x'"),
             (
                 ("bracket", "--n", "2", "E[1,3]", "D"),
                 "EXPR 1: matrix index 3 out of range for rank 2 (column 5)",
@@ -321,6 +315,22 @@ class TestExitCodes:
             (("sigma", "--n", "1", "٣ t^١٢"), "unexpected character '٣' (column 1)"),
             (("bracket", "--n", "1", "D", "t^५"), "EXPR 2: unexpected character '५' (column 3)"),
             (("degree", "--n", "1", "１ D"), "unexpected character '１' (column 1)"),
+            # A flag's number is read as a term's: ASCII digits, no '_', no decimal or exponent.
+            (("bracket", "--n", "٢", "E[1,2]", "E[2,1]"), "argument --n: invalid int value: '٢'"),
+            (("bracket", "--n", "1_0", "t", "D"), "argument --n: invalid int value: '1_0'"),
+            (("act", "--m=١", "t", "v[0,1]"), "argument --m: invalid int value: '١'"),
+            (("verify", "--n", "1,٢"), "argument --n: invalid int value: '1,٢'"),
+            (("act", "--lambda=٣/٢", "t", "v[0,1]"), "--lambda: unexpected character '٣'"),
+            (("act", "--lambda=1_5/2", "t", "v[0,1]"), "--lambda: unexpected character '_'"),
+            (("act", "--lambda=1.5", "t", "v[0,1]"), "--lambda: unexpected character '.'"),
+            (("pair", "--lambda=1e3", "v[0,1]", "v[0,1]"), "--lambda: expected end of input"),
+            # --samples and --seed are size flags too, read and bounded as they are parsed.
+            (("verify", "--samples", "0"), "argument --samples: sample count below 1"),
+            (("verify", "--seed", "-1"), "argument --seed: seed below 0"),
+            (
+                ("verify", "--samples", str(expr.MAX_SAMPLES + 1), "--checks", "sigma_identity_sign"),
+                f"argument --samples: sample count above the limit {expr.MAX_SAMPLES}",
+            ),
         ],
     )
     def test_refusal_is_its_one_line(self, capsys, argv, message):
@@ -528,13 +538,14 @@ class TestCancellingHighWords:
         assert "sys." not in err
 
     @pytest.mark.parametrize("command", ["act", "pair"])
-    @pytest.mark.parametrize("form", ["{}", "-{}", "1/{}", "{}/7", "1.{}"])
+    @pytest.mark.parametrize("form", ["{}", "-{}", "1/{}", "{}/7"])
     def test_a_lambda_past_the_digit_cap_is_one_line_and_not_echoed(self, capsys, command, form):
         cap = sys.get_int_max_str_digits()
         lam = form.format("9" * (cap + 1))
         code, out, err = run_cli(capsys, command, "--n", "1", f"--lambda={lam}", "t", "v[1,1]")
         assert (code, out) == (2, "")
-        assert err == f"error: --lambda of {cap + 1} digits exceeds the digit limit {cap}\n"
+        refusal = f"integer literal of {cap + 1} digits exceeds the digit limit {cap}"
+        assert err == f"error: --lambda: {refusal}\n"
 
     def test_without_a_cap_literals_and_lambda_keep_the_limit_4300(self, capsys, all_digits):
         literal = "9" * 4301
@@ -544,7 +555,7 @@ class TestCancellingHighWords:
         assert err == f"error: EXPR 2: {literal_refusal}\n"
         code, out, err = run_cli(capsys, "act", "--n", "1", f"--lambda={literal}", "t", "v[1,1]")
         assert (code, out) == (2, "")
-        assert err == "error: --lambda of 4301 digits exceeds the digit limit 4300\n"
+        assert err == "error: --lambda: integer literal of 4301 digits exceeds the digit limit 4300\n"
         code, out, err = run_cli(capsys, "bracket", "--n", "1", "D", f"{literal[1:]} t")
         assert (code, out, err) == (0, f"{literal[1:]} t\n", "")
 
@@ -556,23 +567,30 @@ class TestCancellingHighWords:
 
 class TestLambdaExponent:
     # Fraction reads 1e1000000 by building 10**1000000 itself, which once ran
-    # for 19 s; an exponent past the digit limit is refused before it is read.
+    # for 19 s; --lambda is now written as a term's coefficient, so an exponent
+    # form is refused by the tokens it leaves, and no Fraction is built.
+
+    # Each value and the reader's refusal of it.
+    REFUSALS = {
+        "1e1000000": "expected end of input",
+        "1e100000": "expected end of input",
+        "-2.5E+4301": "unexpected character '.'",
+        "1e1_000_000": "unexpected character '_'",
+        "3E-00004301": "expected end of input",
+        "1e" + "9" * 40: "expected end of input",
+    }
 
     @pytest.mark.parametrize("command", ["act", "pair"])
-    @pytest.mark.parametrize(
-        "lam", ["1e1000000", "1e100000", "-2.5E+4301", "1e1_000_000", "3E-00004301", "1e" + "9" * 40]
-    )
+    @pytest.mark.parametrize("lam", list(REFUSALS))
     def test_a_large_exponent_is_refused_at_once(self, capsys, monkeypatch, command, lam):
         def reached(*args):
             raise AssertionError("Fraction was called")
 
-        monkeypatch.setattr(cli, "Fraction", reached)
+        monkeypatch.setattr(expr, "Fraction", reached)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, command, "--n", "1", f"--lambda={lam}", "t", "v[1,1]")
         assert time.perf_counter() - start < 1
-        assert (code, out) == (2, "")
-        cap = sys.get_int_max_str_digits()
-        assert err == f"error: --lambda exponent exceeds the digit limit {cap}\n"
+        assert (code, out, err) == (2, "", f"error: --lambda: {self.REFUSALS[lam]}\n")
 
     @pytest.mark.parametrize(
         "lam,shown",
@@ -580,9 +598,7 @@ class TestLambdaExponent:
             ("3/2", "5/2"),
             ("-1/3", "2/3"),
             ("5/2", "7/2"),
-            ("2.5e-3", "401/400"),
             ("formal", "(a + 1)"),
-            ("1e4300", "1" + "0" * 4299 + "1"),
         ],
     )
     def test_values_within_the_limit_read_as_before(self, capsys, all_digits, lam, shown):
@@ -636,6 +652,8 @@ class TestSizeLimits:
         (("verify", "--j-bound", "{}"), "--j-bound", "D power bound", expr.MAX_J_BOUND),
         (("verify", "--m", "1,{}"), "--m", "Jordan block size", expr.MAX_JORDAN),
         (("act", "--m", "{}", "t", "v[0,1]"), "--m", "Jordan block size", expr.MAX_JORDAN),
+        (("verify", "--samples", "{}"), "--samples", "sample count", expr.MAX_SAMPLES),
+        (("verify", "--seed", "{}"), "--seed", "seed", 2**64 - 1),
     ]
 
     @pytest.mark.parametrize("argv,flag,what,top", CASES, ids=[c[0][0] + c[1] for c in CASES])
@@ -653,6 +671,8 @@ class TestSizeLimits:
         (("verify", "--j-bound", "{}"), "--j-bound", "D power bound", 0),
         (("verify", "--m", "1,{}"), "--m", "Jordan block size", 1),
         (("act", "--m", "{}", "t", "v[0,1]"), "--m", "Jordan block size", 1),
+        (("verify", "--samples", "{}"), "--samples", "sample count", 1),
+        (("verify", "--seed", "{}"), "--seed", "seed", 0),
     ]
 
     @pytest.mark.parametrize(
@@ -671,6 +691,8 @@ class TestSizeLimits:
         assert code == 0 and out.split() == list(available_checks())
         code, out, _ = run_cli(capsys, "act", "--m", "1", "t", "v[0,1]")
         assert (code, out) == (0, "v[1,1]\n")
+        argv = ("verify", "--samples", "1", "--seed", "0", "--checks", "sigma_identity_sign")
+        assert run_cli(capsys, *argv)[0] == 0
 
     def test_the_limits_themselves_are_accepted(self, capsys):
         top_i, top_j, top_m = expr.MAX_I_BOUND, expr.MAX_J_BOUND, expr.MAX_JORDAN
@@ -681,6 +703,11 @@ class TestSizeLimits:
         assert code == 0 and out.split() == list(available_checks())
         code, out, _ = run_cli(capsys, "act", "--m", str(top_m), "t", f"v[0,1,{top_m}]")
         assert (code, out) == (0, f"v[1,1,{top_m}]\n")
+        # sigma_identity_sign costs the same at every sample count.
+        top_samples, top_seed = str(expr.MAX_SAMPLES), str(2**64 - 1)
+        argv = ("--samples", top_samples, "--seed", top_seed, "--checks", "sigma_identity_sign")
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["config"]["samples"] == expr.MAX_SAMPLES
 
 
 _DEG, _TOP = expr.MAX_A_DEGREE, expr.MAX_T_POWER

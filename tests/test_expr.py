@@ -19,8 +19,10 @@ from mdop.expr import (
     format_module_vector,
     format_poly,
     module_vector_to_json,
+    digit_limit,
     parse_element,
     parse_module_vector,
+    parse_number,
 )
 from mdop.reps import Family, ModuleParams, ModuleVector
 from mdop.verify import (
@@ -232,6 +234,60 @@ class TestParseVector:
             )
         with pytest.raises(ParseError, match="module-vector atom"):
             parse_module_vector("2", params)
+
+
+class TestParseNumber:
+    """The reader of a number given alone, as every int flag and --lambda of the CLI."""
+
+    @pytest.mark.parametrize(
+        "text,value", [("7", 7), ("-3", -3), ("+12", 12), (" 0 ", 0), ("- 5", -5)]
+    )
+    def test_an_integer(self, text, value):
+        assert parse_number(text) == value
+        assert type(parse_number(text)) is int
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("3/2", Fraction(3, 2)), ("-1/3", Fraction(-1, 3)), ("+4/6", Fraction(2, 3)),
+         ("5", Fraction(5)), (" -2 / 7 ", Fraction(-2, 7))],
+    )
+    def test_a_rational(self, text, value):
+        assert parse_number(text, rational=True) == value
+        assert type(parse_number(text, rational=True)) is Fraction
+
+    @pytest.mark.parametrize(
+        "text,rational,message,position",
+        [
+            ("", False, "expected an integer", 0),
+            ("x", True, "expected a rational", 0),
+            ("3/2", False, "expected end of input", 1),
+            ("1/0", True, "zero denominator", 2),
+            ("1/", True, "expected a denominator", 2),
+            ("1.5", True, "unexpected character '.'", 1),
+            ("1e3", True, "expected end of input", 1),
+            ("1_0", False, "unexpected character '_'", 1),
+            ("٢", False, "unexpected character '٢'", 0),
+            ("1,2", False, "expected end of input", 1),
+            ("--1", False, "expected an integer", 1),
+        ],
+    )
+    def test_a_refusal_keeps_its_message_apart_from_its_column(
+        self, text, rational, message, position
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_number(text, rational)
+        assert (info.value.message, info.value.position) == (message, position)
+        assert str(info.value) == f"{message} (column {position + 1})"
+
+    @pytest.mark.parametrize("text", ["{}", "-{}", "1/{}", "{}/7", "1 {}"])
+    def test_a_run_past_the_digit_limit_is_refused_and_not_echoed(self, text):
+        long = "9" * (digit_limit() + 1)
+        with pytest.raises(ParseError) as info:
+            parse_number(text.format(long), rational=True)
+        assert long not in str(info.value)
+
+    def test_a_run_at_the_digit_limit_is_read(self):
+        assert parse_number("9" * digit_limit()) == int("9" * digit_limit())
 
 
 class TestRoundTrip:
