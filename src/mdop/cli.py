@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import algebra, expr
@@ -30,20 +31,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _number(text: str, rational: bool = False):
+    """expr.parse_number, whose refusal argparse prints as the flag's: no column, no value."""
+    try:
+        return expr.parse_number(text, rational)
+    except expr.ParseError as exc:
+        raise argparse.ArgumentTypeError(exc.message) from None
+
+
 def _capped(what: str, low: int, top: int, many: bool = False):
-    # A reader of an int flag by expr.parse_number, or with many of a comma-separated list,
-    # that refuses a value outside [low, top] as argparse reads it, so the refusal names
-    # the flag: "argument --n: rank below 1", "argument --m: Jordan block size above the
-    # limit 16".  A ParseError reaches argparse, which prints "invalid int value".
+    # A reader of an int flag, or with many of a comma-separated list, that refuses as
+    # argparse reads it a value outside [low, top] or an entry given twice, naming the flag:
+    # "argument --n: rank below 1", "argument --m: Jordan block size 1 given twice".
     def read(text: str):
-        values = tuple(map(expr.parse_number, text.split(",") if many else [text]))
+        values = tuple(map(_number, text.split(",") if many else [text]))
         if min(values) < low:
             raise argparse.ArgumentTypeError(f"{what} below {low}")
         if max(values) > top:
             raise argparse.ArgumentTypeError(f"{what} above the limit {top}")
+        repeated = [value for value, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise argparse.ArgumentTypeError(f"{what} {repeated[0]} given twice")
         return values if many else values[0]
 
-    read.__name__ = "int"  # argparse names malformed input by it
     return read
 
 
@@ -71,10 +81,15 @@ def _add_module_flags(sub: argparse.ArgumentParser) -> None:
     _add_lambda(sub, "module parameter: a rational like 3/2, or 'formal' (default)")
 
 
+def _lambda(text: str) -> Poly:
+    return Poly.var() if text == "formal" else Poly.const(_number(text, rational=True))
+
+
 def _add_lambda(sub: argparse.ArgumentParser, help_text: str) -> None:
     sub.add_argument(
         "--lambda",
         dest="lam",
+        type=_lambda,
         default="formal",
         metavar="VALUE",
         help=f"{help_text}; write a negative value as --lambda=-1/3",
@@ -178,19 +193,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _module_params(args, family: str, m: int):
-    from .reps import Family, ModuleParams
-
-    family = Family(family)
-    if args.lam == "formal":
-        return ModuleParams.formal(family, args.n, m)
-    try:
-        value = expr.parse_number(args.lam, rational=True)
-    except expr.ParseError as exc:  # a flag has no column, and its value is not echoed
-        raise ValueError(f"--lambda: {exc.message}") from None
-    return ModuleParams(family, args.n, m, Poly.const(value))
-
-
 def _render(value, as_json: bool) -> str:
     """A command's result as JSON or as text; the form not asked for is not built."""
     if isinstance(value, AlgebraElement):
@@ -248,7 +250,7 @@ def _cmd_convert(args):
 def _cmd_act(args):
     from . import reps
 
-    params = _module_params(args, args.family, args.m)
+    params = reps.ModuleParams(reps.Family(args.family), args.n, args.m, args.lam)
     x = _operand("EXPR", expr.parse_element, args.element, args.n)
     v = _operand("VECTOR", expr.parse_module_vector, args.vector, params)
     return reps.act(x, v)
@@ -257,7 +259,7 @@ def _cmd_act(args):
 def _cmd_pair(args) -> Poly:
     from . import reps
 
-    params_w = _module_params(args, "Vbar", 1)
+    params_w = reps.ModuleParams(reps.Family.VBAR, args.n, 1, args.lam)
     w = _operand("VBAR_VECTOR", expr.parse_module_vector, args.twisted, params_w)
     v = _operand("V_VECTOR", expr.parse_module_vector, args.vector, params_w.dual())
     return reps.pairing(w, v)

@@ -283,8 +283,11 @@ class TestExitCodes:
             (("act", "--n", "0", "t", "v[0,1]"), "argument --n: rank below 1"),
             # A single operand, and a refusal that is no parse error, name no operand.
             (("sigma", "--n", "1", "t +"), "expected a coefficient or an atom (column 4)"),
-            (("act", "--n", "1", "--lambda", "x", "t +", "v[0,1]"), "--lambda: expected a rational"),
-            (("verify", "--n", "1,x", "--list-checks"), "argument --n: invalid int value: '1,x'"),
+            (
+                ("act", "--n", "1", "--lambda", "x", "t +", "v[0,1]"),
+                "argument --lambda: expected a rational",
+            ),
+            (("verify", "--n", "1,x", "--list-checks"), "argument --n: expected an integer"),
             (
                 ("bracket", "--n", "2", "E[1,3]", "D"),
                 "EXPR 1: matrix index 3 out of range for rank 2 (column 5)",
@@ -301,11 +304,11 @@ class TestExitCodes:
                 ("act", "--n", "1", "t", "(a+)v[0,1]"),
                 "VECTOR: expected a coefficient or 'a' (column 4)",
             ),
-            # A size flag's reader keeps argparse's wording for a malformed int.
-            (("bracket", "--n", "x", "t", "D"), "argument --n: invalid int value: 'x'"),
-            (("act", "--m", "2.0", "t", "v[0,1]"), "argument --m: invalid int value: '2.0'"),
-            (("verify", "--i-bound", "1.5"), "argument --i-bound: invalid int value: '1.5'"),
-            (("verify", "--j-bound", ""), "argument --j-bound: invalid int value: ''"),
+            # A size flag's malformed value is refused in the reader's words, not echoed.
+            (("bracket", "--n", "x", "t", "D"), "argument --n: expected an integer"),
+            (("act", "--m", "2.0", "t", "v[0,1]"), "argument --m: unexpected character '.'"),
+            (("verify", "--i-bound", "1.5"), "argument --i-bound: unexpected character '.'"),
+            (("verify", "--j-bound", ""), "argument --j-bound: expected an integer"),
             # A size flag refuses its lower end as it is read, with the flag named.
             (("act", "--m=0", "t", "v[0,1]"), "argument --m: Jordan block size below 1"),
             (("bracket", "--n=-2", "t", "D"), "argument --n: rank below 1"),
@@ -316,14 +319,31 @@ class TestExitCodes:
             (("bracket", "--n", "1", "D", "t^५"), "EXPR 2: unexpected character '५' (column 3)"),
             (("degree", "--n", "1", "１ D"), "unexpected character '１' (column 1)"),
             # A flag's number is read as a term's: ASCII digits, no '_', no decimal or exponent.
-            (("bracket", "--n", "٢", "E[1,2]", "E[2,1]"), "argument --n: invalid int value: '٢'"),
-            (("bracket", "--n", "1_0", "t", "D"), "argument --n: invalid int value: '1_0'"),
-            (("act", "--m=١", "t", "v[0,1]"), "argument --m: invalid int value: '١'"),
-            (("verify", "--n", "1,٢"), "argument --n: invalid int value: '1,٢'"),
-            (("act", "--lambda=٣/٢", "t", "v[0,1]"), "--lambda: unexpected character '٣'"),
-            (("act", "--lambda=1_5/2", "t", "v[0,1]"), "--lambda: unexpected character '_'"),
-            (("act", "--lambda=1.5", "t", "v[0,1]"), "--lambda: unexpected character '.'"),
-            (("pair", "--lambda=1e3", "v[0,1]", "v[0,1]"), "--lambda: expected end of input"),
+            (("bracket", "--n", "٢", "E[1,2]", "E[2,1]"), "argument --n: unexpected character '٢'"),
+            (("bracket", "--n", "1_0", "t", "D"), "argument --n: unexpected character '_'"),
+            (("act", "--m=١", "t", "v[0,1]"), "argument --m: unexpected character '١'"),
+            (("verify", "--n", "1,٢"), "argument --n: unexpected character '٢'"),
+            (("act", "--lambda=٣/٢", "t", "v[0,1]"), "argument --lambda: unexpected character '٣'"),
+            (("act", "--lambda=1_5/2", "t", "v[0,1]"), "argument --lambda: unexpected character '_'"),
+            (("act", "--lambda=1.5", "t", "v[0,1]"), "argument --lambda: unexpected character '.'"),
+            (("pair", "--lambda=1e3", "v[0,1]", "v[0,1]"), "argument --lambda: expected end of input"),
+            # A value past the digit limit is refused by its length alone; it is not echoed.
+            (
+                ("bracket", "--n", "9" * (expr.digit_limit() + 700), "t", "D"),
+                f"argument --n: integer literal of {expr.digit_limit() + 700} digits exceeds "
+                f"the digit limit {expr.digit_limit()}",
+            ),
+            (
+                ("verify", "--n", "1," + "9" * (expr.digit_limit() + 700)),
+                f"argument --n: integer literal of {expr.digit_limit() + 700} digits exceeds "
+                f"the digit limit {expr.digit_limit()}",
+            ),
+            # A list entry given twice is refused, so a list holds each rank or size once.
+            (("verify", "--n", "2,2", "--list-checks"), "argument --n: rank 2 given twice"),
+            (
+                ("verify", "--m", "1,2,1", "--list-checks"),
+                "argument --m: Jordan block size 1 given twice",
+            ),
             # --samples and --seed are size flags too, read and bounded as they are parsed.
             (("verify", "--samples", "0"), "argument --samples: sample count below 1"),
             (("verify", "--seed", "-1"), "argument --seed: seed below 0"),
@@ -335,6 +355,12 @@ class TestExitCodes:
     )
     def test_refusal_is_its_one_line(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_a_long_list_of_one_repeated_entry_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--n", ",".join(["2"] * 10_000), "--list-checks")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", "error: argument --n: rank 2 given twice\n")
 
     def test_d_power_above_limit_is_refused_before_kernel_work(self, capsys, monkeypatch):
         # D^20000 once ran for minutes; the parser now refuses it before any
@@ -545,7 +571,7 @@ class TestCancellingHighWords:
         code, out, err = run_cli(capsys, command, "--n", "1", f"--lambda={lam}", "t", "v[1,1]")
         assert (code, out) == (2, "")
         refusal = f"integer literal of {cap + 1} digits exceeds the digit limit {cap}"
-        assert err == f"error: --lambda: {refusal}\n"
+        assert err == f"error: argument --lambda: {refusal}\n"
 
     def test_without_a_cap_literals_and_lambda_keep_the_limit_4300(self, capsys, all_digits):
         literal = "9" * 4301
@@ -555,7 +581,7 @@ class TestCancellingHighWords:
         assert err == f"error: EXPR 2: {literal_refusal}\n"
         code, out, err = run_cli(capsys, "act", "--n", "1", f"--lambda={literal}", "t", "v[1,1]")
         assert (code, out) == (2, "")
-        assert err == "error: --lambda: integer literal of 4301 digits exceeds the digit limit 4300\n"
+        assert err == "error: argument --lambda: integer literal of 4301 digits exceeds the digit limit 4300\n"
         code, out, err = run_cli(capsys, "bracket", "--n", "1", "D", f"{literal[1:]} t")
         assert (code, out, err) == (0, f"{literal[1:]} t\n", "")
 
@@ -590,7 +616,7 @@ class TestLambdaExponent:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, command, "--n", "1", f"--lambda={lam}", "t", "v[1,1]")
         assert time.perf_counter() - start < 1
-        assert (code, out, err) == (2, "", f"error: --lambda: {self.REFUSALS[lam]}\n")
+        assert (code, out, err) == (2, "", f"error: argument --lambda: {self.REFUSALS[lam]}\n")
 
     @pytest.mark.parametrize(
         "lam,shown",
