@@ -24,7 +24,6 @@ weighs each pair of their words by _psi_weight, so the two are independent.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -190,15 +189,18 @@ def _add_products(rows: dict, na: Mapping, nb: Mapping, sign: int, falling: bool
                 ca *= sign
                 for k, l, q2, cb in words:
                     c = ca * cb
-                    out = rows[i + k, p, q2]
+                    out = rows.get((i + k, p, q2))  # grown to j + l, the highest power written
+                    if out is None:
+                        out = rows[i + k, p, q2] = [0] * (j + l + 1)
+                    elif len(out) <= j + l:
+                        out += [0] * (j + l + 1 - len(out))
                     for u, w in expansion(j, k + l if falling else k):
                         out[u + l] += c * w
 
 
 def _word_products(na: Mapping, nb: Mapping, bracket: bool, falling: bool = False) -> dict:
     # Rows of ab, or of ab - ba if bracket, summed word pair by word pair, not reduced.
-    width = max(map(len, na.values()), default=1) + max(map(len, nb.values()), default=1) - 1
-    rows: defaultdict = defaultdict(lambda: [0] * width)
+    rows: dict = {}
     _add_products(rows, na, nb, 1, falling)
     if bracket:
         _add_products(rows, nb, na, -1, falling)
@@ -246,11 +248,10 @@ def _dense_products(na: Mapping, nb: Mapping, bracket: bool) -> dict:
     _add_kronecker(values, na, nb, 1, 1 << bits)
     if bracket:
         _add_kronecker(values, nb, na, -1, 1 << bits)
-    width = max(map(len, na.values())) + max(map(len, nb.values())) - 1
     mask, half, rows = (1 << bits) - 1, 1 << (bits - 1), {}
     for key, n in values.items():
         row = rows[key] = []
-        for _ in range(width):
+        while n:  # the last digit read is the last nonzero one
             d = n & mask
             if d >= half:  # a negative digit, with a carry of 1 into the next
                 d -= mask + 1

@@ -30,6 +30,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
 
+    def _check_value(self, action, value):
+        # argparse's own refusal of a choice, of a flag or the subcommand, echoes the value.
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"expected one of {', '.join(action.choices)}")
+
 
 def _number(text: str, rational: bool = False):
     """expr.parse_number, whose refusal argparse prints as the flag's: no column, no value."""
@@ -58,9 +63,13 @@ def _capped(what: str, low: int, top: int, many: bool = False):
 
 
 def _name_list(text: str) -> tuple[str, ...]:
+    from .verify import available_checks
+
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise argparse.ArgumentTypeError("expected at least one check name")
+    if not set(names) <= set(available_checks()):
+        raise argparse.ArgumentTypeError("unknown check name; see --list-checks")
     return names
 
 

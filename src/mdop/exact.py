@@ -372,10 +372,11 @@ def jordan_shifted_power(base, m: int, j: int) -> tuple[Poly, ...]:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _jordan_power_cached(nums: tuple, den: int, shift: int, m: int, j: int) -> tuple:
-    # The band for base = nums/den + shift as integer rows: row d holds the
-    # numerators of binom(j, d) * base^(j-d) over den^(j-d).
+    # The band for base = nums/den + shift as integer rows over one den^j: row d holds
+    # the numerators of binom(j, d) * base^(j-d) over den^(j-d), times den^d.
     base = list(nums) or [0]
     base[0] += shift * den
     return tuple(
-        tuple(math.comb(j, d) * c for c in _power(base, j - d)) for d in range(min(m, j + 1))
+        tuple(math.comb(j, d) * den**d * c for c in _power(base, j - d))
+        for d in range(min(m, j + 1))
     )

@@ -126,9 +126,9 @@ def act(x: algebra.AlgebraElement, v: ModuleVector) -> ModuleVector:
     (param+shift)*id + J raised to the j-th power, J the upper-shift
     nilpotent: it sends Jordan slot s to slot s-d with weight band[d], the
     band of _jordan_power_cached.  The central coefficient of x acts as zero.
-    The sums run on the integer numerators of x and v, each band row over
-    param.den ** j_max (j_max the highest D power in x), and the output is
-    normalised by one gcd pass.
+    The sums run on the integer numerators of x and v, each band over
+    param.den ** j and each word lifted once to param.den ** j_max (j_max the
+    highest D power in x), and the output is normalised by one gcd pass.
     """
     if not isinstance(x, algebra.AlgebraElement):
         raise TypeError("operators act through AlgebraElement values")
@@ -142,9 +142,6 @@ def act(x: algebra.AlgebraElement, v: ModuleVector) -> ModuleVector:
     for (k, r, s), cv in v.nums.items():
         slots.setdefault(r, []).append((k, s, cv))
     j_max = max(map(len, x.nums.values()), default=1) - 1
-    lifts = [pden**e for e in range(j_max + 1)]
-    width = max(map(len, v.nums.values()), default=0)
-    width += (max(len(pnums), 1) - 1) * j_max
     out: dict[tuple[int, int, int], list] = {}
     for (i, p, q), x_row in x.nums.items():
         source, target = (p, q) if twisted else (q, p)
@@ -154,17 +151,16 @@ def act(x: algebra.AlgebraElement, v: ModuleVector) -> ModuleVector:
         for j, cx in enumerate(x_row):
             if not cx:
                 continue
+            cx *= pden ** (j_max - j)  # the band over pden**j, lifted to pden**j_max
             if twisted:
                 cx *= algebra._sigma_sign(j)
             for k, s, cv in partners:
                 band = _jordan_power_cached(pnums, pden, i + k if twisted else k, m, j)
                 for d, row in enumerate(band[:s]):
-                    key = (i + k, target, s - d)
-                    acc = out.get(key)
-                    if acc is None:
-                        acc = out[key] = [0] * width
-                    _mul_add(acc, cv, row, cx * lifts[j_max - j + d])
-    return ModuleVector._raw(params, _reduced_rows(out, x.den * v.den * lifts[j_max]))
+                    acc = out.setdefault((i + k, target, s - d), [])
+                    acc += [0] * (len(cv) + len(row) - 1 - len(acc))
+                    _mul_add(acc, cv, row, cx)
+    return ModuleVector._raw(params, _reduced_rows(out, x.den * v.den * pden**j_max))
 
 
 def grade_index(params: ModuleParams, k: int, r: int) -> int:

@@ -160,7 +160,9 @@ def sample_element(
     rows: dict[tuple[int, int, int], list[int]] = {}
     for _ in range(_below(bits, 3) + 1):
         i, j, p, q = _sample_word(bits, rank, i_bound, j_bound)
-        rows.setdefault((i, p, q), [0] * (j_bound + 1))[j] += _sample_num(bits)
+        row = rows.setdefault((i, p, q), [])
+        row += [0] * (j + 1 - len(row))
+        row[j] += _sample_num(bits)
     rows[_C] = [_sample_num(bits) if allow_central and rng.random() < 0.3 else 0]
     return cls._raw(rank, _reduced_rows(rows, 6))
 

@@ -376,6 +376,20 @@ def test_dense_route_against_the_references(i_values, big):
         assert not _dense(a, a, True)
 
 
+def test_dense_rows_end_in_a_nonzero_digit():
+    # A packed row is read up to its last nonzero digit, however short it is
+    # against the widest row or however far its top cancels in a bracket.
+    rng = random.Random(29)
+    for rank in (1, 2):
+        a = _dense_element(rng, rank, 40, range(-3, 4))
+        b = _dense_element(rng, rank, 44, range(-3, 4))
+        for bracket in (False, True):
+            rows = algebra_module._dense_products(a.nums, b.nums, bracket)
+            assert all(row[-1] for row in rows.values() if row)
+    rows = algebra_module._dense_products(a.nums, a.nums, True)  # [a, a] = 0, row by row
+    assert not any(rows.values())
+
+
 def test_dense_route_cancels_to_zero():
     # E[1,1] + E[1,2] times x E[1,2] - x E[2,2]: two row pairs meet and cancel.
     x = Fraction(-(2**90) - 1, 7)

@@ -344,6 +344,27 @@ class TestExitCodes:
                 ("verify", "--m", "1,2,1", "--list-checks"),
                 "argument --m: Jordan block size 1 given twice",
             ),
+            # A check name or a choice outside its list is refused without the value.
+            (
+                ("verify", "--checks", "nope"),
+                "argument --checks: unknown check name; see --list-checks",
+            ),
+            (
+                ("verify", "--checks", "antisymmetry," + "x" * 300),
+                "argument --checks: unknown check name; see --list-checks",
+            ),
+            (
+                ("bracket", "--format", "x" * 300, "t", "D"),
+                "argument --format: expected one of text, json",
+            ),
+            (("verify", "--format", "xml"), "argument --format: expected one of text, json"),
+            (("act", "--family", "W", "t", "v[0,1]"), "argument --family: expected one of V, Vbar"),
+            (("convert", "--to", "x" * 300, "t"), "argument --to: expected one of falling, power"),
+            (
+                ("x" * 300, "t", "D"),
+                "argument command: expected one of bracket, product, cocycle, sigma, degree, "
+                "convert, act, pair, verify",
+            ),
             # --samples and --seed are size flags too, read and bounded as they are parsed.
             (("verify", "--samples", "0"), "argument --samples: sample count below 1"),
             (("verify", "--seed", "-1"), "argument --seed: seed below 0"),

@@ -245,6 +245,17 @@ class TestJordanShiftedPower:
                     band = jordan_shifted_power(X + 1, m, j1 + j2)
                     assert left == list(band) + [0] * (m - len(band))
 
+    def test_the_memo_holds_the_band_over_one_power_of_den(self):
+        # Row d of _jordan_power_cached is entry d of the reference band times den^j.
+        for nums, den in (((3,), 2), ((1, 2), 3), ((-5, 7), 4), ((), 1), ((1, 1, 2), 5)):
+            param = Poly(tuple(Fraction(c, den) for c in nums))
+            for shift in (-2, 0, 3):
+                for m in (2, 3, 5):
+                    for j in range(6):
+                        band = jordan_shifted_power(param + shift, m, j)
+                        rows = _jordan_power_cached(nums, den, shift, m, j)
+                        assert [Poly(row) for row in rows] == [den**j * w for w in band]
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             jordan_shifted_power(X, 0, 1)
