@@ -410,6 +410,8 @@ def bracket_falling_direct(a: FallingElement, b: FallingElement) -> FallingEleme
 
 def homogeneous_components(a: AlgebraElement) -> dict[int, AlgebraElement]:
     """Split an element by principal grade; the zero element gives {}."""
+    if not isinstance(a, AlgebraElement):
+        raise TypeError("expected an AlgebraElement")
     buckets: dict[int, dict] = {}
     for (i, p, q), row in a.nums.items():  # every word of a row has one grade, C's 0
         grade = degree(Monomial(i, len(row) - 1, p, q), a.rank)

@@ -44,6 +44,14 @@ def _number(text: str, rational: bool = False):
         raise argparse.ArgumentTypeError(exc.message) from None
 
 
+def _once(what: str, values: tuple) -> tuple:
+    """values, refused as "<what> <entry> given twice" where a list names an entry twice."""
+    repeated = [value for value, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"{what} {repeated[0]} given twice")
+    return values
+
+
 def _capped(what: str, low: int, top: int, many: bool = False):
     # A reader of an int flag, or with many of a comma-separated list, that refuses as
     # argparse reads it a value outside [low, top] or an entry given twice, naming the flag:
@@ -54,10 +62,7 @@ def _capped(what: str, low: int, top: int, many: bool = False):
             raise argparse.ArgumentTypeError(f"{what} below {low}")
         if max(values) > top:
             raise argparse.ArgumentTypeError(f"{what} above the limit {top}")
-        repeated = [value for value, count in Counter(values).items() if count > 1]
-        if repeated:
-            raise argparse.ArgumentTypeError(f"{what} {repeated[0]} given twice")
-        return values if many else values[0]
+        return _once(what, values) if many else values[0]
 
     return read
 
@@ -70,7 +75,7 @@ def _name_list(text: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError("expected at least one check name")
     if not set(names) <= set(available_checks()):
         raise argparse.ArgumentTypeError("unknown check name; see --list-checks")
-    return names
+    return _once("check name", names)  # a known name, so the echo is bounded
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -204,10 +209,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def _render(value, as_json: bool) -> str:
     """A command's result as JSON or as text; the form not asked for is not built."""
-    if isinstance(value, AlgebraElement):
+    if isinstance(value, (AlgebraElement, FallingElement)):
         out = (expr.element_to_json if as_json else expr.format_element)(value)
-    elif isinstance(value, FallingElement):
-        out = (expr.falling_element_to_json if as_json else expr.format_falling_element)(value)
     elif isinstance(value, Poly):
         out = (expr.poly_to_json if as_json else expr.format_poly)(value)
     elif isinstance(value, dict) and as_json:  # homogeneous components by degree

@@ -406,7 +406,9 @@ def _signed_piece(num: int, den: int, body: str, sep: str = " ") -> tuple[int, s
     return (1 if num > 0 else -1, text)
 
 
-def _format_opsum(e, d_symbol: str) -> str:
+def format_element(e: AlgebraElement | FallingElement) -> str:
+    """An element in the CLI grammar; a FallingElement's D atoms print as FD."""
+    d_symbol = "FD" if isinstance(e, FallingElement) else "D"
     pieces: list[tuple[int, str]] = []
     for (i, j, p, q), num in sorted(_words(e.nums)):
         atoms = []
@@ -422,12 +424,7 @@ def _format_opsum(e, d_symbol: str) -> str:
     return _join_signed(pieces)
 
 
-def format_element(e: AlgebraElement) -> str:
-    return _format_opsum(e, "D")
-
-
-def format_falling_element(f: FallingElement) -> str:
-    return _format_opsum(f, "FD")
+format_falling_element = format_element  # a second name of the one printer, kept for its callers
 
 
 def _poly_pieces(nums, den: int) -> list[tuple[int, str]]:
@@ -461,8 +458,9 @@ def format_module_vector(v: ModuleVector) -> str:
 # JSON forms.
 
 
-def element_to_json(e: AlgebraElement) -> dict:
-    return {
+def element_to_json(e: AlgebraElement | FallingElement) -> dict:
+    """An element's JSON form; a FallingElement's ends with "basis": "falling"."""
+    out = {
         "n": e.rank,
         "central": str(e.central),
         "terms": [
@@ -470,12 +468,12 @@ def element_to_json(e: AlgebraElement) -> dict:
             for (i, j, p, q), num in sorted(_words(e.nums))
         ],
     }
-
-
-def falling_element_to_json(f: FallingElement) -> dict:
-    out = element_to_json(f)
-    out["basis"] = "falling"
+    if isinstance(e, FallingElement):
+        out["basis"] = "falling"
     return out
+
+
+falling_element_to_json = element_to_json  # a second name of the one form, kept for its callers
 
 
 def _param_json(param: Poly):

@@ -222,13 +222,8 @@ def _witness(head: str, note: str | None = None, **named) -> str:
     """A counterexample: the head, each named input in the CLI grammar, then the note."""
     parts = [head]
     for name, value in named.items():
-        if isinstance(value, FallingElement):
-            value = expr.format_falling_element(value)
-        elif isinstance(value, AlgebraElement):
-            value = expr.format_element(value)
-        else:
-            value = expr.format_module_vector(value)
-        parts.append(f"{name} = {value}")
+        show = expr.format_module_vector if isinstance(value, ModuleVector) else expr.format_element
+        parts.append(f"{name} = {show(value)}")
     if note is not None:
         parts.append(note)
     return "; ".join(parts)

@@ -398,6 +398,8 @@ class TestElementBasics:
             lambda: to_falling(f),
             lambda: from_falling(a),
             lambda: sigma(f),
+            lambda: homogeneous_components(f),
+            lambda: homogeneous_components(v),
             lambda: act(f, v),
             lambda: a + 1,
             lambda: a - f,

@@ -353,6 +353,11 @@ class TestExitCodes:
                 ("verify", "--checks", "antisymmetry," + "x" * 300),
                 "argument --checks: unknown check name; see --list-checks",
             ),
+            # A known name given twice is refused as a list entry is, and echoed.
+            (
+                ("verify", "--checks", "antisymmetry,antisymmetry"),
+                "argument --checks: check name antisymmetry given twice",
+            ),
             (
                 ("bracket", "--format", "x" * 300, "t", "D"),
                 "argument --format: expected one of text, json",

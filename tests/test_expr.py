@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdop.algebra import AlgebraElement, FallingElement, Monomial, from_falling
+from mdop.algebra import AlgebraElement, FallingElement, Monomial, from_falling, to_falling
 from mdop.exact import Poly
 from mdop.expr import (
     MAX_D_POWER,
@@ -307,6 +307,12 @@ class TestRoundTrip:
             for _ in range(30):
                 f = sample_falling_element(rng, n, 4, 4, allow_central=True)
                 assert parse_element(format_falling_element(f), n) == from_falling(f)
+                # The class picks the notation: either name prints f with FD, and e with D.
+                e = from_falling(f)
+                assert format_element(f) == format_falling_element(f)
+                assert format_falling_element(e) == format_element(e)
+                assert parse_element(format_element(f), n) == e
+                assert parse_element(format_element(to_falling(e)), n) == e
 
     def test_vector_corpus(self):
         rng = random.Random(2028)
@@ -380,6 +386,10 @@ class TestJson:
     def test_falling_marker(self):
         f = FallingElement.term(1, 0, 2, 1, 1)
         assert falling_element_to_json(f)["basis"] == "falling"
+        assert element_to_json(f)["basis"] == "falling"
+        assert list(element_to_json(f))[-1] == "basis"
+        assert "basis" not in element_to_json(from_falling(f))
+        assert "basis" not in falling_element_to_json(from_falling(f))
 
     def test_vector_schema(self):
         params = ModuleParams.formal(Family.V, 2)
