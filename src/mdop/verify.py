@@ -5,6 +5,13 @@ Every comparison is exact; there are no tolerances anywhere.  Each check
 draws from its own generator seeded by (seed, check name), so the report
 is independent of execution order, and results are assembled sorted by
 check name.  A failure is data in the report, not an exception.
+
+A check draws its samples one at a time and hands out, for each, an
+evaluator: a function of no arguments that returns None when the identity
+holds on the sample, else the counterexample.  Drawing is kept apart from
+evaluating so that run_suite can share each check's samples out over the
+usable CPUs (mdop.shares) and still report the first failing sample and the
+sample count that one process would.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from itertools import product as iter_product
 from typing import Callable, Iterator
 
@@ -199,11 +207,16 @@ def sample_module_vector(
 
 
 # ---------------------------------------------------------------------------
-# Checks.  Each takes (config, rng) and yields once per sample: None when
-# the identity holds, else the counterexample printed in the CLI grammar.
-# run_suite counts the samples and stops at the first counterexample.
+# Checks.  Each takes (config, rng) and yields once per sample, as soon as the
+# sample is drawn, its evaluator: a function of no arguments that returns None
+# when the identity holds on the sample, else the counterexample printed in
+# the CLI grammar.  Every draw is made in the generator and none in an
+# evaluator, so the samples of a check do not depend on which of them are
+# evaluated, and any one of them can be evaluated alone.  run_suite counts the
+# samples and reports the first that does not hold.
 
-_CHECKS: dict[str, Callable[[SuiteConfig, random.Random], Iterator[str | None]]] = {}
+_Evaluator = Callable[[], str | None]
+_CHECKS: dict[str, Callable[[SuiteConfig, random.Random], Iterator[_Evaluator]]] = {}
 
 
 def _check(name: str):
@@ -231,20 +244,27 @@ def _witness(head: str, note: str | None = None, **named) -> str:
 
 def _sampled(name: str, cases):
     """Register the decorated trial(cfg, rng, context) as a check of cfg.samples
-    trials per (head, context) case of cases(cfg).  A trial returns None when the
-    identity holds on its sample, else the named inputs (and note) for _witness."""
+    trials per (head, context) case of cases(cfg).  A trial draws its sample and
+    returns the sample's evaluator, which draws nothing: a function of no
+    arguments that returns None when the identity holds on the sample, else the
+    named inputs (and note) for _witness."""
 
     def register(trial):
         @_check(name)
         def check(cfg, rng):
             for head, context in cases(cfg):
                 for _ in range(cfg.samples):
-                    failing = trial(cfg, rng, context)
-                    yield None if failing is None else _witness(head, **failing)
+                    yield partial(_judged, head, trial(cfg, rng, context))
 
         return trial
 
     return register
+
+
+def _judged(head: str, failing) -> str | None:
+    """The counterexample of a trial's evaluator, or None when the identity holds."""
+    named = failing()
+    return None if named is None else _witness(head, **named)
 
 
 def _ranks(context=lambda n: n):
@@ -270,7 +290,7 @@ def _identity(name: str, arity: int, fails, allow_central=False, cls=AlgebraElem
             sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central, cls)
             for _ in range(arity)
         ]
-        return dict(zip("abc", xs)) if fails(*xs) else None
+        return lambda: dict(zip("abc", xs)) if fails(*xs) else None
 
 
 def _cyclic(term):
@@ -322,19 +342,26 @@ _identity("sigma_involution", 1, lambda a: algebra.sigma(algebra.sigma(a)) != a)
 def _grading_additivity(cfg, rng, n):
     ma = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
     mb = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
-    a = AlgebraElement.term(n, *ma, coeff=_sample_coeff(rng))
-    b = AlgebraElement.term(n, *mb, coeff=_sample_coeff(rng))
-    expected = algebra.degree(ma, n) + algebra.degree(mb, n)
-    comps = algebra.homogeneous_components(algebra.central_bracket(a, b))
-    return dict(a=a, b=b) if any(d != expected for d in comps) else None
+    ca, cb = _sample_coeff(rng), _sample_coeff(rng)
+
+    def failing():
+        a, b = AlgebraElement.term(n, *ma, coeff=ca), AlgebraElement.term(n, *mb, coeff=cb)
+        expected = algebra.degree(ma, n) + algebra.degree(mb, n)
+        comps = algebra.homogeneous_components(algebra.central_bracket(a, b))
+        return dict(a=a, b=b) if any(d != expected for d in comps) else None
+
+    return failing
 
 
 @_check("sigma_identity_sign")
 def _check_sigma_identity_sign(cfg, rng):
     for n in cfg.ranks:
-        ident = algebra.embed_scalar(0, 0, n)
-        bad = algebra.sigma(ident) != -ident
-        yield f"n={n}; sigma(identity) != -identity" if bad else None
+        yield partial(_sigma_identity_sign, n)
+
+
+def _sigma_identity_sign(n):
+    ident = algebra.embed_scalar(0, 0, n)
+    return f"n={n}; sigma(identity) != -identity" if algebra.sigma(ident) != -ident else None
 
 
 @_sampled("twist_action", _ranks(lambda n: [ModuleParams.formal(f, n) for f in _FAMILIES]))
@@ -342,9 +369,13 @@ def _twist_action(cfg, rng, params):
     params_v, params_b = params
     x = sample_element(rng, params_v.rank, cfg.i_bound, cfg.j_bound)
     vb = sample_module_vector(rng, params_b, cfg.i_bound)
-    image = reps.act(algebra.sigma(x), ModuleVector._raw(params_v, (vb.nums, vb.den)))
-    bad = reps.act(x, vb) != ModuleVector._raw(params_b, (image.nums, image.den))
-    return dict(x=x, v=vb) if bad else None
+
+    def failing():
+        image = reps.act(algebra.sigma(x), ModuleVector._raw(params_v, (vb.nums, vb.den)))
+        bad = reps.act(x, vb) != ModuleVector._raw(params_b, (image.nums, image.den))
+        return dict(x=x, v=vb) if bad else None
+
+    return failing
 
 
 @_sampled("module_axiom_V", _modules(Family.V))
@@ -354,9 +385,13 @@ def _module_axiom(cfg, rng, params):
     x = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
     y = sample_element(rng, n, cfg.i_bound, cfg.j_bound, allow_central=True)
     v = sample_module_vector(rng, params, cfg.i_bound)
-    lhs = reps.act(algebra.central_bracket(x, y), v)
-    rhs = reps.act(x, reps.act(y, v)) - reps.act(y, reps.act(x, v))
-    return dict(x=x, y=y, v=v) if lhs != rhs else None
+
+    def failing():
+        lhs = reps.act(algebra.central_bracket(x, y), v)
+        rhs = reps.act(x, reps.act(y, v)) - reps.act(y, reps.act(x, v))
+        return dict(x=x, y=y, v=v) if lhs != rhs else None
+
+    return failing
 
 
 @_sampled("pairing_contravariance", _ranks(lambda n: ModuleParams.formal(Family.VBAR, n)))
@@ -364,81 +399,102 @@ def _pairing_contravariance(cfg, rng, params_w):
     x = sample_element(rng, params_w.rank, cfg.i_bound, cfg.j_bound)
     w = sample_module_vector(rng, params_w, cfg.i_bound)
     v = sample_module_vector(rng, params_w.dual(), cfg.i_bound)
-    lhs = reps.pairing(reps.act(x, w), v)
-    rhs = -reps.pairing(w, reps.act(x, v))
-    return dict(x=x, w=w, v=v) if lhs != rhs else None
+
+    def failing():
+        lhs = reps.pairing(reps.act(x, w), v)
+        rhs = -reps.pairing(w, reps.act(x, v))
+        return dict(x=x, w=w, v=v) if lhs != rhs else None
+
+    return failing
 
 
 @_check("matrix_unit_bracket")
 def _check_matrix_unit_bracket(cfg, rng):
-    # [D E[p,q], t E[p',q']] = [q = p'] (t + t D) E[p,q'] - [q' = p] t D E[p',q],
-    # exhaustive over matrix slots.
+    # Exhaustive over matrix slots.
     for n in cfg.ranks:
-        for p, q, pp, qq in iter_product(range(1, n + 1), repeat=4):
-            a = AlgebraElement.term(n, 0, 1, p, q)
-            b = AlgebraElement.term(n, 1, 0, pp, qq)
-            left, right = int(q == pp), -int(qq == p)
-            words = [((1, 0, p, qq), left), ((1, 1, p, qq), left), ((1, 1, pp, q), right)]
-            bad = algebra.central_bracket(a, b) != AlgebraElement(n, words)
-            yield f"n={n}; a = D E[{p},{q}]; b = t E[{pp},{qq}]" if bad else None
+        for slots in iter_product(range(1, n + 1), repeat=4):
+            yield partial(_matrix_unit_bracket, n, *slots)
+
+
+def _matrix_unit_bracket(n, p, q, pp, qq):
+    # [D E[p,q], t E[p',q']] = [q = p'] (t + t D) E[p,q'] - [q' = p] t D E[p',q].
+    a = AlgebraElement.term(n, 0, 1, p, q)
+    b = AlgebraElement.term(n, 1, 0, pp, qq)
+    left, right = int(q == pp), -int(qq == p)
+    words = [((1, 0, p, qq), left), ((1, 1, p, qq), left), ((1, 1, pp, q), right)]
+    bad = algebra.central_bracket(a, b) != AlgebraElement(n, words)
+    return f"n={n}; a = D E[{p},{q}]; b = t E[{pp},{qq}]" if bad else None
 
 
 @_check("vector_field_bracket")
 def _check_vector_field_bracket(cfg, rng):
+    box = range(-cfg.i_bound, cfg.i_bound + 1)
+    for n in cfg.ranks:
+        for i, k in iter_product(box, box):
+            yield partial(_vector_field_bracket, n, i, k)
+
+
+def _vector_field_bracket(n, i, k):
     # [t^i [D]_1, t^k] = k t^(i+k) - delta(i,-k) binom(i+1, 2) N C on the
     # scalar embedding, checked both directly in the falling basis and
     # through the power-basis bracket.
-    for n in cfg.ranks:
-        diag = range(1, n + 1)
-        for i in range(-cfg.i_bound, cfg.i_bound + 1):
-            for k in range(-cfg.i_bound, cfg.i_bound + 1):
-                a = FallingElement(n, {Monomial(i, 1, p, p): 1 for p in diag})
-                b = FallingElement(n, {Monomial(k, 0, p, p): 1 for p in diag})
-                terms = {Monomial(i + k, 0, p, p): Fraction(k) for p in diag} if k else {}
-                central = -gen_binomial(i + 1, 2) * n if i == -k else Fraction(0)
-                expected = FallingElement(n, terms, central)
-                direct = algebra.bracket_falling_direct(a, b)
-                via = algebra.to_falling(
-                    algebra.central_bracket(algebra.from_falling(a), algebra.from_falling(b))
-                )
-                bad = direct != expected or via != expected
-                yield f"n={n}; i={i}; k={k}" if bad else None
+    diag = range(1, n + 1)
+    a = FallingElement(n, {Monomial(i, 1, p, p): 1 for p in diag})
+    b = FallingElement(n, {Monomial(k, 0, p, p): 1 for p in diag})
+    terms = {Monomial(i + k, 0, p, p): Fraction(k) for p in diag} if k else {}
+    central = -gen_binomial(i + 1, 2) * n if i == -k else Fraction(0)
+    expected = FallingElement(n, terms, central)
+    direct = algebra.bracket_falling_direct(a, b)
+    via = algebra.to_falling(
+        algebra.central_bracket(algebra.from_falling(a), algebra.from_falling(b))
+    )
+    return f"n={n}; i={i}; k={k}" if direct != expected or via != expected else None
 
 
 @_check("grade_bijection")
 def _check_grade_bijection(cfg, rng):
+    # Each grade of a window goes to a slot and back, and each slot of a window
+    # to a grade and back.  The slots' round trip makes grade_index one to one
+    # on them: two slots of one grade cannot both come back.
     for n in cfg.ranks:
         for family in _FAMILIES:
             params = ModuleParams.formal(family, n)
             for g in range(-100, 101):
-                k, r = reps.slot_of_grade(params, g)
-                bad = not (1 <= r <= n) or reps.grade_index(params, k, r) != g
-                yield f"n={n} family={family.value}; grade={g}" if bad else None
-            seen: set[int] = set()
-            for k in range(-25, 26):
-                for r in range(1, n + 1):
-                    g = reps.grade_index(params, k, r)
-                    bad = g in seen or reps.slot_of_grade(params, g) != (k, r)
-                    yield f"n={n} family={family.value}; k={k} r={r}" if bad else None
-                    seen.add(g)
+                yield partial(_grade_round_trip, params, g)
+            for k, r in iter_product(range(-25, 26), range(1, n + 1)):
+                yield partial(_slot_round_trip, params, k, r)
+
+
+def _grade_round_trip(params, g):
+    k, r = reps.slot_of_grade(params, g)
+    bad = not (1 <= r <= params.rank) or reps.grade_index(params, k, r) != g
+    return f"n={params.rank} family={params.family.value}; grade={g}" if bad else None
+
+
+def _slot_round_trip(params, k, r):
+    bad = reps.slot_of_grade(params, reps.grade_index(params, k, r)) != (k, r)
+    return f"n={params.rank} family={params.family.value}; k={k} r={r}" if bad else None
 
 
 @_sampled("module_grading", _modules(*_FAMILIES))
 def _module_grading(cfg, rng, params):
     n = params.rank
     mono = sample_monomial(rng, n, cfg.i_bound, cfg.j_bound)
-    x = AlgebraElement.term(n, *mono)
     k = rng.randint(-cfg.i_bound, cfg.i_bound)
     r = rng.randint(1, n)
     s = rng.randint(1, params.m)
-    v = ModuleVector.basis(params, k, r, s)
-    shift = algebra.degree(mono, n)
-    base = reps.grade_index(params, k, r)
-    image = reps.act(x, v)
-    bad = any(
-        reps.grade_index(params, k2, r2) != base + shift for (k2, r2, _s2) in image.nums
-    )
-    return dict(x=x, v=v) if bad else None
+
+    def failing():
+        x, v = AlgebraElement.term(n, *mono), ModuleVector.basis(params, k, r, s)
+        shift = algebra.degree(mono, n)
+        base = reps.grade_index(params, k, r)
+        image = reps.act(x, v)
+        bad = any(
+            reps.grade_index(params, k2, r2) != base + shift for (k2, r2, _s2) in image.nums
+        )
+        return dict(x=x, v=v) if bad else None
+
+    return failing
 
 
 def _extremal_boxes(n):
@@ -460,18 +516,30 @@ def _no_hw_lw(cfg, rng, box):
     params, positive, negative = box
     k = rng.randint(-cfg.i_bound, cfg.i_bound)
     r = rng.randint(1, params.rank)
-    v = ModuleVector(params, [((k, r, 1), _sample_coeff(rng))])
-    for sign, gens in (("positive", positive), ("negative", negative)):
-        if not any(reps.act(g, v) for g in gens):
-            return dict(v=v, note=f"annihilated by the {sign} box")
-    return None
+    c = _sample_coeff(rng)
+
+    def failing():
+        v = ModuleVector(params, [((k, r, 1), c)])
+        for sign, gens in (("positive", positive), ("negative", negative)):
+            if not any(reps.act(g, v) for g in gens):
+                return dict(v=v, note=f"annihilated by the {sign} box")
+        return None
+
+    return failing
 
 
 # ---------------------------------------------------------------------------
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    """Run the selected checks and assemble a deterministic report."""
+    """Run the selected checks and assemble a deterministic report.
+
+    Each check's samples are shared out over the CPUs the process may use
+    (see mdop.shares); cases come in rank order, so the dearer rank-2 samples
+    are dealt out evenly.  The report does not depend on the number of shares.
+    """
+    from . import shares  # imported here: a process that only draws samples loads none of it
+
     if config.checks is None:
         names = sorted(_CHECKS)
     else:
@@ -479,16 +547,18 @@ def run_suite(config: SuiteConfig) -> Report:
             if name not in _CHECKS:
                 raise ValueError(f"unknown check name: {name}")
         names = sorted(set(config.checks))
+    count = shares.share_count()
     results = []
     for name in names:
-        rng = random.Random(f"{config.seed}:{name}")
         start = time.perf_counter()
-        samples, counterexample = 0, None
-        for samples, counterexample in enumerate(_CHECKS[name](config, rng), 1):
-            if counterexample is not None:
-                break
+        samples, counterexample = shares.first_failing(partial(_stream, config, name), count)
         elapsed = time.perf_counter() - start
         results.append(
             CheckResult(name, samples, counterexample is None, counterexample, elapsed)
         )
     return Report(config=config, results=tuple(results))
+
+
+def _stream(config: SuiteConfig, name: str) -> Iterator[_Evaluator]:
+    """The evaluators of a check's samples, drawn from the check's own generator."""
+    return _CHECKS[name](config, random.Random(f"{config.seed}:{name}"))

@@ -92,6 +92,13 @@ def test_verify_loads_its_layer():
     assert {"mdop.reps", "mdop.verify", "dataclasses"} <= loaded
 
 
+def test_the_samplers_load_no_process_machinery():
+    # mdop.shares forks the workers of run_suite; drawing samples needs none of it.
+    loaded = set(_child("-c", "import sys, mdop.verify; print(*sorted(sys.modules))"))
+    assert "mdop.verify" in loaded
+    assert not loaded & {"mdop.shares", "mmap", "signal"}
+
+
 def test_submodule_resolves_on_attribute_access():
     loaded = _child("-c", "import mdop; print(mdop.verify.run_suite.__name__)")
     assert loaded == ["run_suite"]

@@ -11,6 +11,7 @@ tests/test_golden.py on recording it).
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import pytest
 import mdop.algebra as algebra
 import mdop.exact as exact
 import mdop.reps as reps
+import mdop.shares as shares_module
 from mdop.exact import gen_binomial
 from mdop.reps import ModuleVector
 from mdop.verify import SuiteConfig, available_checks, run_suite
@@ -28,6 +30,7 @@ REPORTS = Path(__file__).resolve().parent / "golden" / "mutation_reports.json"
 _GOLDEN = json.loads(REPORTS.read_text())
 
 _ORIG_PSI = algebra.cocycle_psi
+_ORIG_CENTRAL_BRACKET = algebra.central_bracket
 _ORIG_ADD_PRODUCTS = algebra._add_products
 _ORIG_GRADE = reps.grade_index
 _ORIG_ACT = reps.act
@@ -230,6 +233,57 @@ def test_unmutated_suite_passes():
     report = run_suite(CFG)
     assert report.passed
     assert timing_free(report) == _GOLDEN["unmutated"]
+
+
+# Two mutations whose first counterexample lies, at 2 and at 3 shares, in the
+# share of a worker for some check: the report must not show which share found it.
+SHARED_OUT = ("cocycle_range_off_by_one", "act_zeroed_on_positive")
+
+
+def test_some_first_counterexample_lies_outside_share_zero():
+    for shares in (2, 3):
+        for name in SHARED_OUT:
+            firsts = [row["samples"] - 1 for row in _GOLDEN[name]["checks"] if not row["passed"]]
+            assert any(index % shares for index in firsts)
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3])
+def test_reports_do_not_depend_on_the_shares(monkeypatch, shares):
+    monkeypatch.setattr(shares_module, "_usable_cpus", lambda: shares)
+    assert shares_module.share_count() == shares
+    _assert_golden_unmutated_and_shared_out()
+
+
+@pytest.mark.parametrize("shares", [2, 3])
+def test_a_worker_killed_mid_share_leaves_the_report_as_it_is(monkeypatch, shares):
+    # Every worker ends at its first bracket, without a record; the calling
+    # process then evaluates each of their shares itself, and finds the
+    # counterexamples that lie there.
+    caller = os.getpid()
+
+    def bracket_in_the_caller_only(a, b):
+        if os.getpid() != caller:
+            os._exit(1)
+        return _ORIG_CENTRAL_BRACKET(a, b)
+
+    monkeypatch.setattr(shares_module, "_usable_cpus", lambda: shares)
+    monkeypatch.setattr(algebra, "central_bracket", bracket_in_the_caller_only)
+    _assert_golden_unmutated_and_shared_out()
+
+
+def _assert_golden_unmutated_and_shared_out():
+    assert timing_free(run_suite(CFG)) == _GOLDEN["unmutated"]
+    for name, module, attr, replacement, _ in MUTATIONS:
+        if name in SHARED_OUT:
+            with _mutated(module, attr, replacement):
+                assert timing_free(run_suite(CFG)) == _GOLDEN[name]
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    """The calling process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @contextmanager

@@ -1,6 +1,8 @@
 """Verification suite plumbing: determinism, sampling, report shape."""
 
+import os
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from mdop import algebra as algebra_module
 from mdop import expr
 from mdop import reps as reps_module
+from mdop import shares as shares_module
 from mdop.algebra import AlgebraElement, FallingElement, Monomial
 from mdop.exact import Poly
 from mdop.reps import Family, ModuleParams, ModuleVector, act
@@ -23,7 +26,7 @@ from mdop.verify import (
     sample_monomial,
 )
 from row_store import assert_rows_normal
-from test_mutations import timing_free
+from test_mutations import assert_no_child_left, timing_free
 
 SMALL = SuiteConfig(ranks=(1, 2), samples=20, seed=7)
 
@@ -242,6 +245,99 @@ class TestRunSuite:
         text = report.to_text()
         assert text.startswith("[PASS] antisymmetry")
         assert text.endswith("result: PASS (1 checks)")
+
+    def test_a_grade_shared_by_two_slots_fails_grade_bijection(self, monkeypatch):
+        # At rank 2 in family V, grade_index sends the slot (0, 2) to the grade
+        # of (0, 1), and slot_of_grade sends the grade left free to (60, 1),
+        # outside the window of slots.  Every grade of the window still goes to
+        # a slot and back; the slots' round trip sees the two slots of one grade.
+        grade, slot = reps_module.grade_index, reps_module.slot_of_grade
+        moved = {(0, 2): (0, 1), (60, 1): (0, 2)}
+
+        def colliding_grade(params, k, r):
+            if params.rank == 2 and params.family is Family.V:
+                k, r = moved.get((k, r), (k, r))
+            return grade(params, k, r)
+
+        def slot_of_free_grade(params, g):
+            if params.rank == 2 and params.family is Family.V and g == grade(params, 0, 2):
+                return 60, 1
+            return slot(params, g)
+
+        monkeypatch.setattr(reps_module, "grade_index", colliding_grade)
+        monkeypatch.setattr(reps_module, "slot_of_grade", slot_of_free_grade)
+        (row,) = run_suite(SuiteConfig(checks=("grade_bijection",))).results
+        assert not row.passed
+        assert row.counterexample == "n=2 family=V; k=0 r=2"
+
+
+class TestShares:
+    """Each check's samples shared out over forked workers, one share per usable CPU."""
+
+    @pytest.fixture
+    def shares(self, monkeypatch):
+        def force(count):
+            monkeypatch.setattr(shares_module, "_usable_cpus", lambda: count)
+            assert shares_module.share_count() == count
+
+        return force
+
+    def test_one_share_per_usable_cpu(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert shares_module._usable_cpus() == len(os.sched_getaffinity(0))
+        assert shares_module.share_count() == shares_module._usable_cpus()
+
+    def test_one_share_forks_nothing(self, shares, monkeypatch):
+        shares(1)
+        monkeypatch.setattr(os, "fork", None)
+        assert run_suite(SMALL).passed
+
+    def test_one_share_without_fork(self, monkeypatch):
+        monkeypatch.setattr(shares_module, "_usable_cpus", lambda: 3)
+        monkeypatch.delattr(os, "fork")
+        assert shares_module.share_count() == 1
+
+    def test_one_share_in_a_threaded_process(self, monkeypatch):
+        monkeypatch.setattr(shares_module, "_usable_cpus", lambda: 3)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+        try:
+            assert shares_module.share_count() == 1
+        finally:
+            done.set()
+            waiter.join()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_no_child_outlives_a_run(self, shares, count):
+        shares(count)
+        assert run_suite(SMALL).passed
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_a_kernel_error_in_a_worker_is_raised_in_the_caller(self, shares, monkeypatch, count):
+        # sigma raises on the rank-1 sample of index 1, which a worker owns at
+        # 2 and 3 shares; the caller evaluates it again and raises with its own
+        # traceback.
+        class Boom(Exception):
+            pass
+
+        cfg = SuiteConfig(ranks=(1,), samples=6, checks=("sigma_involution",))
+        rng = random.Random(f"{cfg.seed}:sigma_involution")
+        drawn = [sample_element(rng, 1, cfg.i_bound, cfg.j_bound) for _ in range(2)]
+        sigma = algebra_module.sigma
+
+        def sigma_raising_on_sample_1(x):
+            if x == drawn[1]:
+                raise Boom
+            return sigma(x)
+
+        shares(count)
+        monkeypatch.setattr(algebra_module, "sigma", sigma_raising_on_sample_1)
+        with pytest.raises(Boom) as raised:
+            run_suite(cfg)
+        assert raised.traceback[-1].name == "sigma_raising_on_sample_1"
+        assert_no_child_left()
 
 
 class TestConfigValidation:
