@@ -534,9 +534,10 @@ def _no_hw_lw(cfg, rng, box):
 def run_suite(config: SuiteConfig) -> Report:
     """Run the selected checks and assemble a deterministic report.
 
-    Each check's samples are shared out over the CPUs the process may use
-    (see mdop.shares); cases come in rank order, so the dearer rank-2 samples
-    are dealt out evenly.  The report does not depend on the number of shares.
+    The samples of each check longer than a hundred are shared out over the
+    CPUs the process may use (see mdop.shares); cases come in rank order, so
+    the dearer rank-2 samples are dealt out evenly.  The report does not
+    depend on the number of shares.
     """
     from . import shares  # imported here: a process that only draws samples loads none of it
 

@@ -240,6 +240,14 @@ def test_unmutated_suite_passes():
 SHARED_OUT = ("cocycle_range_off_by_one", "act_zeroed_on_positive")
 
 
+def force_shares(monkeypatch, count):
+    """Run every check of run_suite over count shares, from its first sample on."""
+    monkeypatch.setattr(shares_module, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(shares_module, "_MOST_SHARES", count)
+    monkeypatch.setattr(shares_module, "_ALONE", 0)
+    assert shares_module.share_count() == count
+
+
 def test_some_first_counterexample_lies_outside_share_zero():
     for shares in (2, 3):
         for name in SHARED_OUT:
@@ -249,8 +257,7 @@ def test_some_first_counterexample_lies_outside_share_zero():
 
 @pytest.mark.parametrize("shares", [1, 2, 3])
 def test_reports_do_not_depend_on_the_shares(monkeypatch, shares):
-    monkeypatch.setattr(shares_module, "_usable_cpus", lambda: shares)
-    assert shares_module.share_count() == shares
+    force_shares(monkeypatch, shares)
     _assert_golden_unmutated_and_shared_out()
 
 
@@ -266,9 +273,37 @@ def test_a_worker_killed_mid_share_leaves_the_report_as_it_is(monkeypatch, share
             os._exit(1)
         return _ORIG_CENTRAL_BRACKET(a, b)
 
-    monkeypatch.setattr(shares_module, "_usable_cpus", lambda: shares)
+    force_shares(monkeypatch, shares)
     monkeypatch.setattr(algebra, "central_bracket", bracket_in_the_caller_only)
     _assert_golden_unmutated_and_shared_out()
+
+
+def test_a_failure_of_a_worker_alone_leaves_the_report_as_it_is(monkeypatch):
+    # Every worker runs out of memory at its first bracket and reports that
+    # sample failing; it holds in the calling process, which then runs the
+    # whole check itself.
+    caller = os.getpid()
+
+    def bracket_failing_in_workers(a, b):
+        if os.getpid() != caller:
+            raise MemoryError
+        return _ORIG_CENTRAL_BRACKET(a, b)
+
+    force_shares(monkeypatch, 2)
+    monkeypatch.setattr(algebra, "central_bracket", bracket_failing_in_workers)
+    assert timing_free(run_suite(CFG)) == _GOLDEN["unmutated"]
+    assert_no_child_left()
+
+
+def test_no_pipe_for_a_worker_leaves_the_report_as_it_is(monkeypatch):
+    # With no file descriptor left for a pipe, no worker starts and the
+    # calling process evaluates every share.
+    def no_pipe():
+        raise OSError(24, "Too many open files")
+
+    force_shares(monkeypatch, 2)
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    assert timing_free(run_suite(CFG)) == _GOLDEN["unmutated"]
 
 
 def _assert_golden_unmutated_and_shared_out():

@@ -26,7 +26,7 @@ from mdop.verify import (
     sample_monomial,
 )
 from row_store import assert_rows_normal
-from test_mutations import assert_no_child_left, timing_free
+from test_mutations import assert_no_child_left, force_shares, timing_free
 
 SMALL = SuiteConfig(ranks=(1, 2), samples=20, seed=7)
 
@@ -276,21 +276,46 @@ class TestShares:
 
     @pytest.fixture
     def shares(self, monkeypatch):
-        def force(count):
-            monkeypatch.setattr(shares_module, "_usable_cpus", lambda: count)
-            assert shares_module.share_count() == count
+        return lambda count: force_shares(monkeypatch, count)
 
-        return force
-
-    def test_one_share_per_usable_cpu(self):
+    def test_one_share_per_usable_cpu_up_to_two(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             assert shares_module._usable_cpus() == len(os.sched_getaffinity(0))
-        assert shares_module.share_count() == shares_module._usable_cpus()
+        for cpus, count in ((1, 1), (2, 2), (3, 2), (64, 2)):
+            monkeypatch.setattr(shares_module, "_usable_cpus", lambda: cpus)
+            assert shares_module.share_count() == count
 
     def test_one_share_forks_nothing(self, shares, monkeypatch):
         shares(1)
         monkeypatch.setattr(os, "fork", None)
         assert run_suite(SMALL).passed
+
+    def test_a_short_stream_forks_nothing(self, monkeypatch):
+        # Streams of up to _ALONE samples are evaluated in the calling process
+        # alone; a longer one forks a worker for each share but the first.
+        forks = []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", counted_fork)
+        alone = shares_module._ALONE
+        for samples, forked in ((1, 0), (alone, 0), (alone + 1, 2)):
+            forks.clear()
+            stream = lambda: (lambda: None for _ in range(samples))  # noqa: E731
+            assert shares_module.first_failing(stream, 3) == (samples, None)
+            assert len(forks) == forked
+        assert_no_child_left()
+
+    def test_the_small_checks_fork_nothing(self, monkeypatch):
+        monkeypatch.setattr(shares_module, "_usable_cpus", lambda: 2)
+        assert shares_module.share_count() == 2
+        monkeypatch.setattr(os, "fork", None)
+        small = ("matrix_unit_bracket", "sigma_identity_sign", "vector_field_bracket")
+        assert run_suite(SuiteConfig(checks=small)).passed
+        assert run_suite(SuiteConfig(samples=5, checks=("jacobi_central",))).passed
 
     def test_one_share_without_fork(self, monkeypatch):
         monkeypatch.setattr(shares_module, "_usable_cpus", lambda: 3)
